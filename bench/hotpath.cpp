@@ -7,9 +7,11 @@
  * PR.
  *
  * The sweep runs the scaling bench's config set through ValidationFlow
- * with mtc_validate's exact seeding, so its signatures and verdicts
- * match a `mtc_validate --config <name> --tests T --iterations I`
- * campaign bit for bit. `deterministic` asserts that all three passes
+ * with one seed stream per config (two draws per test: program, then
+ * flow), so every pass sees the very same programs and iteration
+ * seeds. That is the bench's own seeding, not a campaign's
+ * (deriveTestPlans), so its numbers are comparable only with its own
+ * earlier records. `deterministic` asserts that all three passes
  * produced identical per-test results INCLUDING the signature-set
  * digest — batched, scalar, and arena-rebuilding runs must observe the
  * exact same signature multiset; a divergence is a lockstep-engine or
@@ -94,7 +96,7 @@ struct PassKnobs
     bool streamCheck = true; ///< false = barrier pipeline baseline
 };
 
-/** One campaign pass over every config (mtc_validate's seeding). */
+/** One pass over every config, one seed stream per config. */
 RunResult
 runPass(const std::vector<TestConfig> &configs, unsigned tests,
         std::uint64_t iterations, std::uint64_t seed,

@@ -11,6 +11,8 @@
 #include <optional>
 #include <utility>
 
+#include <arpa/inet.h>
+
 #include "dist/coordinator.h"
 #include "harness/campaign_journal.h"
 #include "harness/campaign_plan.h"
@@ -105,11 +107,6 @@ CampaignConfig::fromEnv(CampaignConfig defaults)
     if (const char *shard = std::getenv("MTC_SHARD_SIZE"))
         defaults.shardSize = static_cast<std::size_t>(
             parseEnvCount("MTC_SHARD_SIZE", shard, true));
-    // MTC_STREAM_WINDOW=0 asks for an unbounded decode→check window;
-    // any window is purely operational (bit-identical summaries).
-    if (const char *window = std::getenv("MTC_STREAM_WINDOW"))
-        defaults.streamWindow = static_cast<std::size_t>(
-            parseEnvCount("MTC_STREAM_WINDOW", window, true));
     // MTC_JOURNAL is a path, not a count, but gets the same strictness:
     // an empty value is a misconfiguration (probably MTC_JOURNAL= left
     // over from a shell edit), not a request for no journal.
@@ -197,10 +194,15 @@ CampaignConfig::fromEnv()
 ExecutorConfig
 platformFor(const TestConfig &cfg, PlatformVariant variant)
 {
-    ExecutorConfig exec = variant == PlatformVariant::Linux
-        ? osConfig(cfg.isa)
-        : bareMetalConfig(cfg.isa);
-    return exec;
+    if (variant == PlatformVariant::Linux)
+        return osConfig(cfg.isa);
+    if (variant == PlatformVariant::Uniform) {
+        ExecutorConfig exec;
+        exec.policy = SchedulingPolicy::UniformRandom;
+        exec.model = defaultModel(cfg.isa);
+        return exec;
+    }
+    return bareMetalConfig(cfg.isa);
 }
 
 // The deterministic plan — deriveTestPlans, flowTemplate,
@@ -235,9 +237,44 @@ deriveTestPlans(const TestConfig &cfg, const CampaignConfig &campaign)
 FlowConfig
 flowTemplate(const TestConfig &cfg, const CampaignConfig &campaign)
 {
+    if (!(campaign.bugProbability >= 0.0 &&
+          campaign.bugProbability <= 1.0))
+        throw ConfigError("bug probability must lie in [0, 1]");
+    const MemoryModel model =
+        campaign.model.value_or(defaultModel(cfg.isa));
+
     FlowConfig flow_cfg;
     flow_cfg.iterations = campaign.iterations;
-    flow_cfg.exec = platformFor(cfg, campaign.variant);
+    if (campaign.variant == PlatformVariant::Mesi) {
+        if (campaign.dieAfterRuns || campaign.leakAfterRuns)
+            throw ConfigError("the die/leak drills are operational-"
+                              "executor drills; pick a non-mesi "
+                              "platform");
+        CoherentConfig coh = gem5LikeConfig();
+        coh.model = model;
+        coh.bug = campaign.bug;
+        coh.bugProbability = campaign.bugProbability;
+        coh.cacheLines = campaign.cacheLines;
+        coh.stallAfterSteps = campaign.stallAfterSteps;
+        flow_cfg.coherent = coh;
+    } else {
+        if (campaign.variant == PlatformVariant::Uniform &&
+            campaign.bug != BugKind::None)
+            throw ConfigError("bug injection needs a timed platform "
+                              "(timed, linux or mesi), not uniform");
+        flow_cfg.exec = platformFor(cfg, campaign.variant);
+        flow_cfg.exec.model = model;
+        if (campaign.variant == PlatformVariant::Uniform)
+            flow_cfg.exec.reorderWindow = model == MemoryModel::SC ? 1 : 8;
+        flow_cfg.exec.bug = campaign.bug;
+        flow_cfg.exec.bugProbability = campaign.bugProbability;
+        flow_cfg.exec.timing.cacheLines = campaign.cacheLines;
+        flow_cfg.exec.stallAfterSteps = campaign.stallAfterSteps;
+        flow_cfg.exec.stallIgnoresCancel = campaign.stallUncooperative;
+        flow_cfg.exec.dieAfterRuns = campaign.dieAfterRuns;
+        flow_cfg.exec.dieSignal = campaign.dieSignal;
+        flow_cfg.exec.leakAfterRuns = campaign.leakAfterRuns;
+    }
     flow_cfg.runConventional = campaign.runConventional;
     flow_cfg.fault = campaign.fault;
     flow_cfg.recovery = campaign.recovery;
@@ -248,12 +285,7 @@ flowTemplate(const TestConfig &cfg, const CampaignConfig &campaign)
     flow_cfg.threads = 1;
     flow_cfg.batch = campaign.batch;
     flow_cfg.streamCheck = campaign.streamCheck;
-    flow_cfg.streamWindow = campaign.streamWindow;
-    flow_cfg.exec.stallAfterSteps = campaign.stallAfterSteps;
-    flow_cfg.exec.stallIgnoresCancel = campaign.stallUncooperative;
-    flow_cfg.exec.dieAfterRuns = campaign.dieAfterRuns;
-    flow_cfg.exec.dieSignal = campaign.dieSignal;
-    flow_cfg.exec.leakAfterRuns = campaign.leakAfterRuns;
+    flow_cfg.profile = campaign.profile;
     // Trace dumps need every unit's sorted unique signature stream
     // kept in the FlowResult; the stream is derived state (not a
     // result-determining knob), so this stays out of the identity.
@@ -401,6 +433,10 @@ summarize(const TestConfig &cfg,
         summary.avgSortingOverhead += result.sortingOverhead;
         summary.violations += result.violatingSignatures +
             result.assertionFailures + result.platformCrashes;
+        summary.platformCrashes += result.platformCrashes;
+        if (summary.violationWitness.empty())
+            summary.violationWitness = result.violationWitness;
+        summary.profile.merge(result.profile);
 
         summary.injected += result.fault.injected;
         summary.quarantinedSignatures += result.fault.quarantinedCount();
@@ -647,10 +683,12 @@ runUnitsDistributed(
 {
     FabricConfig fabric;
     fabric.port = campaign.distPort;
+    fabric.host = campaign.distHost;
     fabric.batchSize = campaign.distBatch;
     fabric.maxInFlightPerWorker = campaign.distMaxInFlight;
     fabric.heartbeatTimeoutMs = campaign.distHeartbeatTimeoutMs;
     fabric.leaseTimeoutMs = campaign.distLeaseTimeoutMs;
+    fabric.netFault = campaign.distNetFault;
     // Chaos mode needs lease revocation for liveness: a dropped Lease
     // (or Result) frame leaves a healthy, heartbeating worker that
     // will never serve that lease, and only the lease timeout can
@@ -662,7 +700,6 @@ runUnitsDistributed(
     fabric.stallTimeoutMs = campaign.distWorkers ? 60000 : 0;
     if (!campaign.distKeyFile.empty())
         fabric.key = loadFabricKey(campaign.distKeyFile);
-    fabric.netFault = campaign.distNetFault;
     fabric.auditRate = campaign.distAuditRate;
     // The audit sample must be reproducible for a given campaign but
     // uncorrelated with every other consumer of the seed.
@@ -832,6 +869,17 @@ std::vector<ConfigSummary>
 runUnits(const std::vector<TestConfig> &configs,
          const CampaignConfig &campaign, bool propagate_setup_errors)
 {
+    if (campaign.resume && campaign.journalPath.empty())
+        throw ConfigError(
+            "resume needs a journal (--journal PATH or MTC_JOURNAL)");
+    if (campaign.mode == ExecutionMode::Distributed) {
+        in_addr probe{};
+        if (::inet_pton(AF_INET, campaign.distHost.c_str(), &probe) != 1)
+            throw ConfigError("coordinator host must be an IPv4 "
+                              "address, got \"" + campaign.distHost +
+                              "\"");
+    }
+
     std::vector<ConfigPlan> plans(configs.size());
     std::vector<std::pair<std::size_t, std::size_t>> units;
     for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -857,6 +905,8 @@ runUnits(const std::vector<TestConfig> &configs,
     std::vector<std::vector<TestOutcome>> outcomes(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c)
         outcomes[c].resize(plans[c].tests.size());
+    // Written once per unit, by whichever thread resolves it.
+    std::vector<std::uint8_t> replayed(units.size(), 0);
 
     std::unique_ptr<CampaignJournal> journal;
     if (!campaign.journalPath.empty()) {
@@ -908,6 +958,7 @@ runUnits(const std::vector<TestConfig> &configs,
                         "derives — the journal belongs to another run");
                 }
                 slot = record->outcome;
+                replayed[u] = 1;
                 // Replayed errors still arm the breaker: a resumed
                 // campaign must not forget the poison it already saw.
                 error_events[c].fetch_add(breakerEvents(slot),
@@ -987,6 +1038,8 @@ runUnits(const std::vector<TestConfig> &configs,
         summaries.push_back(summarizeConfig(configs[c], outcomes[c],
                                             campaign.errorBudget));
     }
+    for (std::size_t u = 0; u < units.size(); ++u)
+        summaries[units[u].first].replayedUnits += replayed[u];
     return summaries;
 }
 
@@ -1005,7 +1058,12 @@ campaignIdentity(const std::vector<TestConfig> &configs,
     w.u64(campaign.iterations);
     w.u32(campaign.testsPerConfig);
     w.u64(campaign.seed);
-    w.u8(campaign.variant == PlatformVariant::Linux ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(campaign.variant));
+    w.u8(campaign.model ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(campaign.model.value_or(MemoryModel{})));
+    w.u8(static_cast<std::uint8_t>(campaign.bug));
+    w.f64(campaign.bugProbability);
+    w.u32(campaign.cacheLines);
     w.u8(campaign.runConventional ? 1 : 0);
     w.f64(campaign.fault.bitFlipRate);
     w.f64(campaign.fault.tornStoreRate);

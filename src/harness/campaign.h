@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,11 +29,14 @@ namespace mtc
 
 struct FabricStats;
 
-/** Platform variant of a campaign (Figure 8 bar families). */
+/** Platform variant of a campaign: the simulated system under
+ * validation. */
 enum class PlatformVariant : std::uint8_t
 {
-    BareMetal, ///< paper's bare-metal environment
-    Linux,     ///< paper's OS-interference runs
+    BareMetal, ///< timed executor: the paper's bare-metal environment
+    Linux,     ///< timed executor with OS interference (Figure 8)
+    Uniform,   ///< uniform-random scheduler (the paper's Section 4.1)
+    Mesi,      ///< message-level MESI directory (the gem5 stand-in)
 };
 
 /** Where a campaign's (config, test) units execute. */
@@ -67,6 +71,19 @@ struct CampaignConfig
     unsigned testsPerConfig = 3;
     std::uint64_t seed = 2017;
     PlatformVariant variant = PlatformVariant::BareMetal;
+
+    /** Memory model the platform implements and the checker checks;
+     * unset = the ISA's default (defaultModel). */
+    std::optional<MemoryModel> model;
+
+    /** Injected design bug (paper Section 7) and the probability it
+     * fires when its trigger occurs. Timed and Mesi platforms only. */
+    BugKind bug = BugKind::None;
+    double bugProbability = 0.1;
+
+    /** Per-core L1 capacity in cache lines (0 = unbounded). */
+    std::uint32_t cacheLines = 0;
+
     bool runConventional = true;
 
     /** Readout-path fault injection applied to every test (all rates
@@ -111,9 +128,10 @@ struct CampaignConfig
      * excluded from the campaign identity like `threads`/`batch`. */
     bool streamCheck = true;
 
-    /** Bounded decode→check window forwarded to every test's flow
-     * (see FlowConfig::streamWindow); 0 = unbounded. Operational. */
-    std::size_t streamWindow = 64;
+    /** Collect every unit's per-phase wall-clock breakdown (see
+     * FlowConfig::profile); ConfigSummary::profile sums it.
+     * Operational knob. */
+    bool profile = false;
 
     /**
      * Write-ahead journal path (src/support/journal.h). Every
@@ -223,6 +241,11 @@ struct CampaignConfig
     /** Distributed mode: coordinator TCP port; 0 = ephemeral. */
     std::uint16_t distPort = 0;
 
+    /** Distributed mode: the coordinator's IPv4 bind address
+     * (FabricConfig::host). A deployment address, not a behaviour
+     * knob: loopback unless an operator opens it up. */
+    std::string distHost = "127.0.0.1";
+
     /** Distributed mode: units per lease (see FabricConfig). */
     unsigned distBatch = 2;
 
@@ -281,13 +304,12 @@ struct CampaignConfig
 
     /**
      * Apply MTC_ITERATIONS / MTC_TESTS / MTC_SEED / MTC_THREADS /
-     * MTC_BATCH / MTC_SHARD_SIZE / MTC_STREAM_WINDOW / MTC_JOURNAL /
-     * MTC_TEST_TIMEOUT_MS / MTC_SANDBOX / MTC_SANDBOX_MEM_MB /
-     * MTC_SANDBOX_CPU_S overrides (MTC_THREADS=0 means "use every
-     * hardware thread"; MTC_BATCH=0 means "flow default";
-     * MTC_SHARD_SIZE=0 means unsharded; MTC_STREAM_WINDOW=0 means an
-     * unbounded decode→check window; MTC_TEST_TIMEOUT_MS=0 means
-     * no watchdog; MTC_SANDBOX=0/1 selects in-process/sandboxed).
+     * MTC_BATCH / MTC_SHARD_SIZE / MTC_JOURNAL / MTC_TEST_TIMEOUT_MS /
+     * MTC_SANDBOX / MTC_SANDBOX_MEM_MB / MTC_SANDBOX_CPU_S overrides
+     * (MTC_THREADS=0 means "use every hardware thread"; MTC_BATCH=0
+     * means "flow default"; MTC_SHARD_SIZE=0 means unsharded;
+     * MTC_TEST_TIMEOUT_MS=0 means no watchdog; MTC_SANDBOX=0/1
+     * selects in-process/sandboxed).
      *
      * Fabric overrides: MTC_FABRIC_KEY_FILE (key path; the key itself
      * never transits argv or the environment), MTC_AUDIT_RATE (a
@@ -398,6 +420,15 @@ struct ConfigSummary
     bool degraded = false;
     std::string error;
 
+    /** Reporting extras, deliberately outside foldSummary (so no
+     * digest depends on them). `platformCrashes` is the share of
+     * `violations` that are platform crashes — deadlocks and
+     * contained worker deaths, not MCM violations. */
+    std::uint64_t platformCrashes = 0;
+    unsigned replayedUnits = 0;   ///< slots replayed from the journal
+    std::string violationWitness; ///< first one, in test order
+    PhaseBreakdown profile;       ///< summed (CampaignConfig::profile)
+
     /** Normalized collective / conventional sorting time (Fig. 9). */
     double
     speedupRatio() const
@@ -448,7 +479,9 @@ double parseEnvRate(const char *name, const char *text);
  */
 NetFaultConfig netFaultFromEnv(NetFaultConfig defaults = {});
 
-/** Platform configuration a campaign uses for @p cfg. */
+/** Operational-executor configuration a campaign variant starts from
+ * for @p cfg (Mesi runs the coherent platform instead; flowTemplate
+ * builds that). */
 ExecutorConfig platformFor(const TestConfig &cfg, PlatformVariant variant);
 
 /**

@@ -2,7 +2,7 @@
  * @file
  * The deterministic campaign report: per-config "campaign summary:"
  * lines, the folded "campaign digest:" line, and the exit-code
- * mapping, shared by mtc_coordinator and mtc_check.
+ * mapping, shared by mtc_validate, mtc_coordinator and mtc_check.
  *
  * Byte-identity across producers is the whole point. The CI smoke
  * byte-diffs `grep '^campaign'` output between a serial run, a
@@ -24,6 +24,7 @@
 #include "harness/exit_codes.h"
 #include "support/framing.h"
 #include "support/journal.h"
+#include "support/table.h"
 
 namespace mtc
 {
@@ -83,6 +84,7 @@ struct CampaignTotals
     std::uint64_t confirmed = 0;
     std::uint64_t transient = 0;
     std::uint64_t quarantined = 0;
+    std::uint64_t platformCrashes = 0; ///< the crash share of violations
     unsigned failed = 0;
     unsigned hung = 0;
     unsigned crashes = 0;
@@ -122,6 +124,7 @@ printCampaignReport(std::ostream &out, std::ostream &err,
         totals.confirmed += s.confirmedViolations;
         totals.transient += s.transientViolations;
         totals.quarantined += s.quarantinedSignatures;
+        totals.platformCrashes += s.platformCrashes;
         totals.failed += s.failedTests;
         totals.hung += s.hungTests;
         totals.crashes += s.crashRetries;
@@ -140,21 +143,45 @@ printCampaignReport(std::ostream &out, std::ostream &err,
 }
 
 /** Map verdict totals to the shared exit code (see exit_codes.h for
- * the priority argument). */
+ * the priority argument). Platform crashes are counted inside
+ * `violations` (the summary digests fold them there), but a crash is
+ * not an MCM violation: crash-only campaigns map to the crash code. */
 inline int
 campaignExitCode(const CampaignTotals &t)
 {
-    if (t.violations || t.confirmed)
+    if (t.violations > t.platformCrashes || t.confirmed)
         return kExitViolation;
     if (t.tripped)
         return kExitBreakerTripped;
     if (t.hung)
         return kExitHang;
-    if (t.failed || t.crashes || t.degraded)
+    if (t.failed || t.crashes || t.platformCrashes || t.degraded)
         return kExitPlatformCrash;
     if (t.quarantined || t.transient)
         return kExitCorruptionOnly;
     return kExitClean;
+}
+
+/** The per-config detail table (`--verbose`). Operational: it holds
+ * no "campaign " prefix, so the byte-compared block ignores it. */
+inline void
+printConfigTable(std::ostream &out,
+                 const std::vector<ConfigSummary> &summaries)
+{
+    TablePrinter table({"config", "tests", "unique sigs", "violations",
+                        "failed", "hung", "retries"});
+    for (const ConfigSummary &s : summaries) {
+        table.addRow({s.cfg.name(),
+                      TablePrinter::fmt(std::uint64_t(s.tests)),
+                      TablePrinter::fmt(s.avgUniqueSignatures, 2),
+                      TablePrinter::fmt(s.violations),
+                      TablePrinter::fmt(std::uint64_t(s.failedTests)),
+                      TablePrinter::fmt(std::uint64_t(s.hungTests)),
+                      TablePrinter::fmt(
+                          std::uint64_t(s.testRetriesUsed))});
+    }
+    table.print(out);
+    out << "\n";
 }
 
 } // namespace mtc

@@ -31,13 +31,27 @@ namespace
  * from an incompatible build) fails loudly instead of deriving a
  * silently different campaign. */
 constexpr std::uint32_t kSpecMagic = 0x4D544353; // "MTCS"
-// v2: keepSignatures + errorBudget appended after the config list.
-// keepSignatures tells remote workers to carry each unit's sorted
-// unique signature stream home for trace dumps; errorBudget rides
-// along so an offline checker fed this spec reproduces the breaker's
-// tripped/degraded verdicts (the budget is operational for identity
-// purposes but result-shaping for summaries).
-constexpr std::uint32_t kSpecVersion = 2;
+// v3: the platform knobs (variant, model override, bug, bug
+// probability, cache lines) and the profile flag join the spec, so a
+// worker builds the very flow the coordinator planned on any
+// platform. keepSignatures tells remote workers to carry each unit's
+// sorted unique signature stream home for trace dumps; errorBudget
+// rides along so an offline checker fed this spec reproduces the
+// breaker's tripped/degraded verdicts (the budget is operational for
+// identity purposes but result-shaping for summaries).
+constexpr std::uint32_t kSpecVersion = 3;
+
+/** Read a u8 enum, refusing values outside [0, @p last]. */
+template <typename Enum>
+Enum
+readEnum(ByteReader &r, Enum last, const char *what)
+{
+    const std::uint8_t v = r.u8();
+    if (v > static_cast<std::uint8_t>(last))
+        throw DistError(std::string("campaign spec: bad ") + what +
+                        " " + std::to_string(v));
+    return static_cast<Enum>(v);
+}
 
 } // anonymous namespace
 
@@ -51,7 +65,12 @@ encodeCampaignSpec(const CampaignSpec &spec)
     w.u64(c.iterations);
     w.u32(c.testsPerConfig);
     w.u64(c.seed);
-    w.u8(c.variant == PlatformVariant::Linux ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(c.variant));
+    w.u8(c.model ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(c.model.value_or(MemoryModel{})));
+    w.u8(static_cast<std::uint8_t>(c.bug));
+    w.f64(c.bugProbability);
+    w.u32(c.cacheLines);
     w.u8(c.runConventional ? 1 : 0);
     w.f64(c.fault.bitFlipRate);
     w.f64(c.fault.tornStoreRate);
@@ -79,10 +98,11 @@ encodeCampaignSpec(const CampaignSpec &spec)
         w.u32(cfg.lineBytes);
         w.u32(cfg.fencePercent);
     }
-    // v2 tail. The dump path itself never ships — it is coordinator-
-    // local — only the fact that streams must be kept.
+    // The dump path itself never ships — it is coordinator-local —
+    // only the fact that streams must be kept.
     w.u8(c.keepSignatureStreams || !c.dumpTracePath.empty() ? 1 : 0);
     w.u32(c.errorBudget);
+    w.u8(c.profile ? 1 : 0);
     return w.bytes();
 }
 
@@ -104,8 +124,14 @@ decodeCampaignSpec(const std::vector<std::uint8_t> &bytes)
         c.iterations = r.u64();
         c.testsPerConfig = r.u32();
         c.seed = r.u64();
-        c.variant = r.u8() ? PlatformVariant::Linux
-                           : PlatformVariant::BareMetal;
+        c.variant = readEnum(r, PlatformVariant::Mesi, "platform");
+        const bool has_model = r.u8() != 0;
+        const MemoryModel model = readEnum(r, MemoryModel::RMO, "model");
+        if (has_model)
+            c.model = model;
+        c.bug = readEnum(r, BugKind::PutxGetxRace, "bug kind");
+        c.bugProbability = r.f64();
+        c.cacheLines = r.u32();
         c.runConventional = r.u8() != 0;
         c.fault.bitFlipRate = r.f64();
         c.fault.tornStoreRate = r.f64();
@@ -142,6 +168,7 @@ decodeCampaignSpec(const std::vector<std::uint8_t> &bytes)
         }
         c.keepSignatureStreams = r.u8() != 0;
         c.errorBudget = r.u32();
+        c.profile = r.u8() != 0;
         return spec;
     } catch (const JournalError &err) {
         throw DistError(std::string("campaign spec truncated: ") +

@@ -1,14 +1,23 @@
 /**
  * @file
  * Tests for the campaign runner: configuration aggregation, platform
- * variant selection, and environment-variable scaling.
+ * variant selection and knobs, and environment-variable scaling.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <unistd.h>
 
 #include "harness/campaign.h"
+#include "harness/campaign_plan.h"
+#include "harness/campaign_report.h"
 
 namespace mtc
 {
@@ -55,6 +64,152 @@ TEST(Campaign, PlatformVariants)
     const ExecutorConfig x86 = platformFor(
         parseConfigName("x86-2-50-32"), PlatformVariant::BareMetal);
     EXPECT_EQ(x86.model, MemoryModel::TSO);
+
+    const ExecutorConfig uniform =
+        platformFor(cfg, PlatformVariant::Uniform);
+    EXPECT_EQ(uniform.policy, SchedulingPolicy::UniformRandom);
+    EXPECT_EQ(uniform.model, MemoryModel::RMO);
+}
+
+TEST(Campaign, FlowTemplateCarriesPlatformKnobs)
+{
+    const TestConfig x86 = parseConfigName("x86-2-50-32");
+    CampaignConfig campaign;
+    campaign.model = MemoryModel::SC;
+    campaign.bug = BugKind::LsqNoSquash;
+    campaign.bugProbability = 0.25;
+    campaign.cacheLines = 4;
+    const FlowConfig timed = flowTemplate(x86, campaign);
+    EXPECT_FALSE(timed.coherent);
+    EXPECT_EQ(timed.exec.policy, SchedulingPolicy::Timed);
+    EXPECT_EQ(timed.exec.model, MemoryModel::SC);
+    EXPECT_EQ(timed.exec.bug, BugKind::LsqNoSquash);
+    EXPECT_EQ(timed.exec.bugProbability, 0.25);
+    EXPECT_EQ(timed.exec.timing.cacheLines, 4u);
+
+    campaign.variant = PlatformVariant::Mesi;
+    const FlowConfig mesi = flowTemplate(x86, campaign);
+    ASSERT_TRUE(mesi.coherent);
+    EXPECT_EQ(mesi.coherent->model, MemoryModel::SC);
+    EXPECT_EQ(mesi.coherent->bug, BugKind::LsqNoSquash);
+    EXPECT_EQ(mesi.coherent->bugProbability, 0.25);
+    EXPECT_EQ(mesi.coherent->cacheLines, 4u);
+
+    CampaignConfig uniform;
+    uniform.variant = PlatformVariant::Uniform;
+    EXPECT_EQ(flowTemplate(x86, uniform).exec.reorderWindow, 8u);
+    uniform.model = MemoryModel::SC;
+    EXPECT_EQ(flowTemplate(x86, uniform).exec.reorderWindow, 1u);
+
+    // Knob combinations no platform can run are config errors.
+    uniform.bug = BugKind::LsqNoSquash;
+    EXPECT_THROW(flowTemplate(x86, uniform), ConfigError);
+    CampaignConfig bad_prob;
+    bad_prob.bugProbability = 1.5;
+    EXPECT_THROW(flowTemplate(x86, bad_prob), ConfigError);
+    CampaignConfig mesi_drill;
+    mesi_drill.variant = PlatformVariant::Mesi;
+    mesi_drill.dieAfterRuns = 3;
+    EXPECT_THROW(flowTemplate(x86, mesi_drill), ConfigError);
+}
+
+/** The campaign digest of @p summaries (every deterministic field). */
+std::string
+digestOf(const std::vector<ConfigSummary> &summaries)
+{
+    std::ostringstream out, err;
+    printCampaignReport(out, err, "test", summaries);
+    return out.str();
+}
+
+/** One small campaign per platform knob CampaignConfig carries. */
+std::vector<std::pair<std::string, CampaignConfig>>
+platformKnobCampaigns()
+{
+    CampaignConfig base;
+    base.iterations = 64;
+    base.testsPerConfig = 3;
+    base.runConventional = false;
+    std::vector<std::pair<std::string, CampaignConfig>> out;
+    CampaignConfig c = base;
+    c.variant = PlatformVariant::Uniform;
+    out.emplace_back("uniform", c);
+    c = base;
+    c.variant = PlatformVariant::Mesi;
+    out.emplace_back("mesi", c);
+    c = base;
+    c.bug = BugKind::LsqNoSquash;
+    c.bugProbability = 0.5;
+    out.emplace_back("lsq-bug", c);
+    c = base;
+    c.model = MemoryModel::SC;
+    out.emplace_back("sc-model", c);
+    c = base;
+    c.cacheLines = 2;
+    out.emplace_back("cache-lines", c);
+    return out;
+}
+
+TEST(Campaign, PlatformKnobsBitIdenticalAcrossThreadsAndResume)
+{
+    const std::vector<TestConfig> configs = {
+        parseConfigName("x86-2-50-32"), parseConfigName("ARM-2-50-32")};
+    const std::string journal =
+        (std::filesystem::temp_directory_path() /
+         ("mtc_campaign_knobs_" + std::to_string(::getpid())))
+            .string();
+    for (const auto &[name, campaign] : platformKnobCampaigns()) {
+        SCOPED_TRACE(name);
+        const std::string serial = digestOf(runCampaign(configs, campaign));
+
+        CampaignConfig parallel = campaign;
+        parallel.threads = 4;
+        parallel.journalPath = journal;
+        EXPECT_EQ(digestOf(runCampaign(configs, parallel)), serial);
+
+        // Keep a prefix of the journal (plus a torn tail) and resume.
+        std::filesystem::resize_file(
+            journal, std::filesystem::file_size(journal) / 2 + 3);
+        CampaignConfig resumed = campaign;
+        resumed.journalPath = journal;
+        resumed.resume = true;
+        const auto after = runCampaign(configs, resumed);
+        EXPECT_EQ(digestOf(after), serial);
+        EXPECT_GT(after[0].replayedUnits + after[1].replayedUnits, 0u);
+    }
+    std::filesystem::remove(journal);
+}
+
+TEST(Campaign, ReportingExtrasStayOutOfTheDigest)
+{
+    // The first witness and the summed phase profile ride beside the
+    // summary for the CLIs to print; neither may move a digest.
+    CampaignConfig campaign;
+    campaign.iterations = 64;
+    campaign.testsPerConfig = 2;
+    campaign.runConventional = false;
+    campaign.bug = BugKind::LsqNoSquash;
+    campaign.bugProbability = 0.5;
+    const std::vector<TestConfig> configs = {
+        parseConfigName("ARM-2-50-32")};
+    const auto plain = runCampaign(configs, campaign);
+    campaign.profile = true;
+    const auto profiled = runCampaign(configs, campaign);
+    EXPECT_EQ(digestOf(profiled), digestOf(plain));
+    EXPECT_GT(plain[0].violations, 0u);
+    EXPECT_FALSE(plain[0].violationWitness.empty());
+    EXPECT_FALSE(plain[0].profile.enabled());
+    EXPECT_TRUE(profiled[0].profile.enabled());
+}
+
+TEST(Campaign, ResumeWithoutAJournalIsAConfigError)
+{
+    CampaignConfig campaign;
+    campaign.iterations = 32;
+    campaign.testsPerConfig = 1;
+    campaign.resume = true;
+    EXPECT_THROW(runCampaign({parseConfigName("x86-2-50-32")}, campaign),
+                 ConfigError);
 }
 
 TEST(Campaign, EnvOverrides)

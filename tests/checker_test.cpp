@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "core/collective_checker.h"
@@ -61,7 +62,8 @@ orderedEdgeSets(const TestProgram &program, MemoryModel platform_model,
     return sets;
 }
 
-using Param = std::tuple<const char *, MemoryModel /*platform*/,
+// std::string, not const char *: see ExecutorSoundness in executor_test.
+using Param = std::tuple<std::string, MemoryModel /*platform*/,
                          MemoryModel /*checked*/, std::uint64_t>;
 
 class CheckerEquivalence : public ::testing::TestWithParam<Param>

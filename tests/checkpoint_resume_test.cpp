@@ -374,7 +374,8 @@ TEST(CampaignJournalFile, ForkedWorkerDoesNotInheritTheFlock)
 
     int hold[2]; // keeps the worker alive until the test is done
     ASSERT_EQ(::pipe(hold), 0);
-    int ready[2]; // signals "worker forked, campaign about to die"
+    int ready[2]; // "worker forked, campaign about to die", then EOF
+                  // once the worker dropped the parent-only fds
     ASSERT_EQ(::pipe(ready), 0);
 
     const pid_t campaign = ::fork();
@@ -400,6 +401,12 @@ TEST(CampaignJournalFile, ForkedWorkerDoesNotInheritTheFlock)
     ::close(hold[0]);
     std::uint8_t ok = 0;
     ASSERT_EQ(::read(ready[0], &ok, 1), 1);
+    // Read on to EOF: the worker holds its copy of ready[1] until it
+    // has dropped the parent-only fds, so EOF — not the campaign's
+    // byte — is what orders the resume below after the drop.
+    std::uint8_t rest = 0;
+    while (::read(ready[0], &rest, 1) > 0) {
+    }
     ::close(ready[0]);
     ASSERT_EQ(ok, 1);
     const ChildExit ce = waitChild(campaign);
@@ -715,6 +722,30 @@ TEST(CircuitBreaker, TripsAfterBudgetAndSkipsRemainingUnits)
     EXPECT_GE(summary.errorEvents, campaign.errorBudget);
     EXPECT_NE(summary.error.find("circuit breaker"),
               std::string::npos);
+}
+
+TEST(CircuitBreaker, EveryHungAttemptIsOneEvent)
+{
+    // The breaker charges every hung attempt, not one event per hung
+    // unit: one unit burning 3 wedged attempts (2 retries) exhausts a
+    // budget of 3 by itself, and the second unit is skipped. Every
+    // front end, mtc_validate included, runs this accounting.
+    CampaignConfig campaign;
+    campaign.iterations = 32;
+    campaign.testsPerConfig = 2;
+    campaign.testRetries = 2;
+    campaign.runConventional = false;
+    campaign.stallAfterSteps = 40;
+    campaign.testTimeoutMs = 100;
+    campaign.errorBudget = 3;
+    campaign.threads = 1; // deterministic trip point
+
+    const ConfigSummary summary =
+        runConfig(parseConfigName("x86-2-50-32"), campaign);
+    EXPECT_EQ(summary.hungAttempts, 3u);
+    EXPECT_EQ(summary.errorEvents, 3u);
+    EXPECT_TRUE(summary.tripped);
+    EXPECT_EQ(summary.skippedTests, 1u);
 }
 
 TEST(CircuitBreaker, BudgetZeroNeverTrips)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/conventional_checker.h"
@@ -23,7 +24,8 @@ namespace mtc
 namespace
 {
 
-using SoundnessParam = std::tuple<const char *, MemoryModel,
+// std::string, not const char *: see ExecutorSoundness in executor_test.
+using SoundnessParam = std::tuple<std::string, MemoryModel,
                                   std::uint32_t /*cacheLines*/>;
 
 class CoherentSoundness

@@ -242,7 +242,20 @@ TEST(DistFuzz, CampaignSpecDecoderThrowsOnlyDistError)
     spec.campaign.iterations = 128;
     spec.campaign.testsPerConfig = 3;
     spec.campaign.seed = 7;
+    spec.campaign.variant = PlatformVariant::Mesi;
+    spec.campaign.model = MemoryModel::RMO;
+    spec.campaign.bug = BugKind::StaleLoadOnUpgrade;
+    spec.campaign.bugProbability = 0.5;
+    spec.campaign.cacheLines = 3;
+    spec.campaign.profile = true;
     const std::vector<std::uint8_t> good = encodeCampaignSpec(spec);
+    const CampaignSpec back = decodeCampaignSpec(good);
+    EXPECT_EQ(back.campaign.variant, PlatformVariant::Mesi);
+    EXPECT_EQ(back.campaign.model, MemoryModel::RMO);
+    EXPECT_EQ(back.campaign.bug, BugKind::StaleLoadOnUpgrade);
+    EXPECT_EQ(back.campaign.bugProbability, 0.5);
+    EXPECT_EQ(back.campaign.cacheLines, 3u);
+    EXPECT_TRUE(back.campaign.profile);
 
     Rng rng(0x5bec);
     std::uint64_t rejected = 0;

@@ -26,8 +26,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <pthread.h>
@@ -40,6 +42,7 @@
 #include "harness/campaign.h"
 #include "harness/campaign_journal.h"
 #include "harness/dist_campaign.h"
+#include "harness/trace_check.h"
 #include "support/fault_transport.h"
 #include "support/framing.h"
 #include "support/hmac.h"
@@ -76,6 +79,43 @@ class TempFile
     std::string p;
 };
 
+/**
+ * A helper thread of a socket test. An exception escaping @p body — a
+ * refused connectTcp, say — is reported as a test failure instead of
+ * reaching std::terminate, and @p ended (when given) counts down
+ * however the body ends, so a thread waiting on it never hangs.
+ */
+class Helper
+{
+  public:
+    template <typename Fn>
+    explicit Helper(Fn body, std::latch *ended = nullptr)
+        : thread([body = std::move(body), ended]() mutable {
+              try {
+                  body();
+              } catch (const std::exception &err) {
+                  ADD_FAILURE() << "helper thread threw: " << err.what();
+              } catch (...) {
+                  ADD_FAILURE() << "helper thread threw a non-exception";
+              }
+              if (ended)
+                  ended->count_down();
+          })
+    {
+    }
+
+    ~Helper()
+    {
+        if (thread.joinable())
+            thread.join();
+    }
+
+    void join() { thread.join(); }
+
+  private:
+    std::thread thread;
+};
+
 // ---------------------------------------------------------------------
 // Socket + Transport: the framed codec generalized to TCP.
 // ---------------------------------------------------------------------
@@ -88,7 +128,7 @@ TEST(SocketTransport, FramesRoundTripBothWaysWithCleanEof)
     const std::vector<std::uint8_t> ping = {1, 2, 3};
     const std::vector<std::uint8_t> pong(4096, 0xab);
 
-    std::thread peer([&] {
+    Helper peer([&] {
         Transport link(connectTcp("127.0.0.1", listener.port()),
                        "peer");
         link.send(ping);
@@ -229,7 +269,7 @@ TEST(FrameHardening, StalledMidFrameReadHitsTheDeadline)
 TEST(FrameHardening, TransportHonorsTightenedFrameCeiling)
 {
     TcpListener listener(0);
-    std::thread peer([&] {
+    Helper peer([&] {
         Transport link(connectTcp("127.0.0.1", listener.port()),
                        "peer");
         try {
@@ -520,9 +560,15 @@ TEST(FabricProtocol, CampaignSpecRoundTripsAndRejectsGarbage)
     spec.campaign.fault.bitFlipRate = 0.01;
     spec.campaign.recovery.crashRetries = 3;
     spec.campaign.testTimeoutMs = 1234;
+    spec.campaign.variant = PlatformVariant::Mesi;
+    spec.campaign.model = MemoryModel::SC;
+    spec.campaign.bug = BugKind::PutxGetxRace;
+    spec.campaign.bugProbability = 0.375;
+    spec.campaign.cacheLines = 6;
+    spec.campaign.profile = true;
 
-    const CampaignSpec back =
-        decodeCampaignSpec(encodeCampaignSpec(spec));
+    const std::vector<std::uint8_t> bytes = encodeCampaignSpec(spec);
+    const CampaignSpec back = decodeCampaignSpec(bytes);
     ASSERT_EQ(back.configs.size(), 2u);
     EXPECT_EQ(back.configs[0].name(), spec.configs[0].name());
     EXPECT_EQ(back.configs[1].name(), spec.configs[1].name());
@@ -532,8 +578,27 @@ TEST(FabricProtocol, CampaignSpecRoundTripsAndRejectsGarbage)
     EXPECT_EQ(back.campaign.fault.bitFlipRate, 0.01);
     EXPECT_EQ(back.campaign.recovery.crashRetries, 3u);
     EXPECT_EQ(back.campaign.testTimeoutMs, 1234u);
+    EXPECT_EQ(back.campaign.variant, PlatformVariant::Mesi);
+    EXPECT_EQ(back.campaign.model, MemoryModel::SC);
+    EXPECT_EQ(back.campaign.bug, BugKind::PutxGetxRace);
+    EXPECT_EQ(back.campaign.bugProbability, 0.375);
+    EXPECT_EQ(back.campaign.cacheLines, 6u);
+    EXPECT_TRUE(back.campaign.profile);
+    CampaignSpec no_model = spec;
+    no_model.campaign.model.reset();
+    EXPECT_FALSE(decodeCampaignSpec(encodeCampaignSpec(no_model))
+                     .campaign.model);
 
     EXPECT_THROW(decodeCampaignSpec({1, 2, 3}), DistError);
+    // A spec from an older build (v2) is refused, not misread.
+    std::vector<std::uint8_t> old = bytes;
+    old[4] = 2;
+    EXPECT_THROW(decodeCampaignSpec(old), DistError);
+    // An out-of-range platform byte (just after the magic, version,
+    // iterations, tests and seed) is refused.
+    std::vector<std::uint8_t> bad_platform = bytes;
+    bad_platform[4 + 4 + 8 + 4 + 8] = 0x7f;
+    EXPECT_THROW(decodeCampaignSpec(bad_platform), DistError);
 }
 
 // ---------------------------------------------------------------------
@@ -556,8 +621,13 @@ TEST(Fabric, VersionMismatchedWorkerRejectedAtHandshake)
     cfg.batchSize = 1;
     Coordinator coordinator(cfg, {0xde, 0xad});
 
+    // The good worker waits until the rejected session is over: on a
+    // loaded host it could otherwise drain all 4 units first, and the
+    // coordinator would close its listener before the stale build
+    // ever connects.
+    std::latch bad_done(1);
     std::atomic<bool> bad_rejected{false};
-    std::thread bad([&] {
+    Helper bad([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "stale-build";
@@ -568,8 +638,9 @@ TEST(Fabric, VersionMismatchedWorkerRejectedAtHandshake)
         } catch (const DistError &) {
             bad_rejected.store(true); // fatal, no retry
         }
-    });
-    std::thread good([&] {
+    }, &bad_done);
+    Helper good([&] {
+        bad_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -613,29 +684,37 @@ TEST(Fabric, SlowWorkerThrottledByBackpressureNotTheFleet)
 
     constexpr std::size_t kUnits = 8;
     WorkerRunStats fast_stats, slow_stats;
-    std::thread fast([&] {
+    // The fast worker starts only once the slow one has joined: an
+    // instant drain would otherwise close the listener before the
+    // slow thread's first connect, which the slow client rightly
+    // reports as an unreachable coordinator. The campaign must
+    // outlive both connects for the throttling claim to mean
+    // anything.
+    std::latch slow_joined(1);
+    std::atomic<bool> joined_once{false};
+    Helper fast([&] {
+        slow_joined.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "fast";
         wc.heartbeatMs = 50;
-        // Not instant: on a loaded single-core host an instant worker
-        // can drain every unit (closing the listener) before the slow
-        // thread's first connect, which the slow client rightly
-        // reports as an unreachable coordinator. The campaign must
-        // outlive both connects for the throttling claim to mean
-        // anything.
         wc.unitDelayMs = 20;
         fast_stats =
             runWorkerClient(wc, [](const auto &) {}, echoUnit);
     });
-    std::thread slow([&] {
+    Helper slow([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "slow";
         wc.heartbeatMs = 50;
         wc.unitDelayMs = 200; // the "slow host" drill
-        slow_stats =
-            runWorkerClient(wc, [](const auto &) {}, echoUnit);
+        slow_stats = runWorkerClient(
+            wc,
+            [&](const auto &) {
+                if (!joined_once.exchange(true))
+                    slow_joined.count_down();
+            },
+            echoUnit);
     });
 
     std::size_t results = 0;
@@ -675,8 +754,11 @@ TEST(Fabric, SilentWorkerDeclaredDeadAndItsLeaseReassigned)
 
     // A hand-rolled worker that handshakes, accepts a lease, then
     // goes silent — no results, no heartbeats. The coordinator must
-    // declare it dead at the liveness timeout and reassign.
-    std::thread silent([&] {
+    // declare it dead at the liveness timeout and reassign. The good
+    // worker arrives only once the silent session is over, so the
+    // silent worker is leased first and its lease must be reassigned.
+    std::latch silent_done(1);
+    Helper silent([&] {
         Transport link(connectTcp("127.0.0.1", coordinator.port()),
                        "silent");
         HelloMsg hello;
@@ -686,12 +768,16 @@ TEST(Fabric, SilentWorkerDeclaredDeadAndItsLeaseReassigned)
         ASSERT_TRUE(link.receive(msg)); // Welcome
         ASSERT_TRUE(link.receive(msg)); // a Lease it will never serve
         EXPECT_EQ(peekType(msg), FabricMsg::Lease);
-        std::this_thread::sleep_for(std::chrono::milliseconds(800));
+        // Stay silent until the coordinator hangs up on us.
+        try {
+            while (link.receive(msg)) {
+            }
+        } catch (const FramingError &) {
+        }
         link.close();
-    });
-    std::thread good([&] {
-        // Arrives late so the silent worker gets leased first.
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }, &silent_done);
+    Helper good([&] {
+        silent_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -894,6 +980,70 @@ TEST(DistributedCampaign, JournalWrittenSeriallyResumesDistributed)
                              runCampaign(fabricConfigs(), dist));
 }
 
+/** One small campaign per platform knob CampaignConfig carries. */
+std::vector<std::pair<std::string, CampaignConfig>>
+platformKnobCampaigns()
+{
+    const CampaignConfig base = smallCampaign();
+    std::vector<std::pair<std::string, CampaignConfig>> out;
+    CampaignConfig c = base;
+    c.variant = PlatformVariant::Uniform;
+    out.emplace_back("uniform", c);
+    c = base;
+    c.variant = PlatformVariant::Mesi;
+    out.emplace_back("mesi", c);
+    c = base;
+    c.bug = BugKind::LsqNoSquash;
+    c.bugProbability = 0.5;
+    out.emplace_back("lsq-bug", c);
+    c = base;
+    c.model = MemoryModel::SC;
+    out.emplace_back("sc-model", c);
+    c = base;
+    c.cacheLines = 2;
+    out.emplace_back("cache-lines", c);
+    return out;
+}
+
+TEST(DistributedCampaign, PlatformKnobsBitIdenticalAtAnyFleetSizeAndResume)
+{
+    // The knobs travel in the v3 campaign spec: a worker that built a
+    // different flow would show up here as a summary mismatch.
+    for (const auto &[name, base] : platformKnobCampaigns()) {
+        SCOPED_TRACE(name);
+        const auto baseline = runCampaign(fabricConfigs(), base);
+        TempFile journal("knob_" + name);
+        for (unsigned workers : {1u, 4u}) {
+            CampaignConfig dist = base;
+            dist.mode = ExecutionMode::Distributed;
+            dist.distWorkers = workers;
+            dist.journalPath = journal.path();
+            expectCampaignsIdentical(baseline,
+                                     runCampaign(fabricConfigs(), dist));
+        }
+        fs::resize_file(journal.path(),
+                        fs::file_size(journal.path()) / 2 + 3);
+        CampaignConfig resumed = base;
+        resumed.mode = ExecutionMode::Distributed;
+        resumed.distWorkers = 2;
+        resumed.journalPath = journal.path();
+        resumed.resume = true;
+        expectCampaignsIdentical(baseline,
+                                 runCampaign(fabricConfigs(), resumed));
+    }
+}
+
+TEST(DistributedCampaign, NonIpv4HostIsAConfigError)
+{
+    for (const char *host : {"::1", "localhost", "", "127.0.0.256"}) {
+        SCOPED_TRACE(host);
+        CampaignConfig dist = smallCampaign();
+        dist.mode = ExecutionMode::Distributed;
+        dist.distHost = host;
+        EXPECT_THROW(runCampaign(fabricConfigs(), dist), ConfigError);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Authenticated transport: keyed handshakes, rejections, hardening.
 // ---------------------------------------------------------------------
@@ -954,7 +1104,7 @@ TEST(FabricAuth, KeyedHandshakeServesUnitsOverMacedFrames)
     Coordinator coordinator(cfg, {0xaa, 0xbb});
 
     std::atomic<bool> got_spec{false};
-    std::thread worker([&] {
+    Helper worker([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "keyed";
@@ -985,9 +1135,10 @@ TEST(FabricAuth, KeylessWorkerRejectedByKeyedCoordinatorBeforeAnyLease)
     cfg.key = keyfile.key();
     Coordinator coordinator(cfg, {0x01});
 
+    std::latch bad_done(1);
     std::atomic<bool> bad_rejected{false};
     WorkerRunStats bad_stats;
-    std::thread bad([&] {
+    Helper bad([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "no-key";
@@ -998,8 +1149,9 @@ TEST(FabricAuth, KeylessWorkerRejectedByKeyedCoordinatorBeforeAnyLease)
         } catch (const DistError &) {
             bad_rejected.store(true); // Reject is fatal: no retry
         }
-    });
-    std::thread good([&] {
+    }, &bad_done);
+    Helper good([&] {
+        bad_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -1030,9 +1182,10 @@ TEST(FabricAuth, WrongKeyFailsBothProofDirections)
     // A wrong-key worker detects the coordinator's bad server proof
     // and refuses to reveal its own — mutual authentication, so a
     // rogue coordinator cannot harvest client proofs either.
+    std::latch bad_done(2); // the wrong-key worker and the forger
     std::atomic<bool> bad_refused{false};
     WorkerRunStats bad_stats;
-    std::thread bad([&] {
+    Helper bad([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "wrong-key";
@@ -1046,11 +1199,11 @@ TEST(FabricAuth, WrongKeyFailsBothProofDirections)
                 std::string(err.what()).find("key proof") !=
                 std::string::npos);
         }
-    });
+    }, &bad_done);
 
     // A hand-rolled peer that answers the challenge with a garbage
     // proof: the coordinator must refuse it before any lease.
-    std::thread forger([&] {
+    Helper forger([&] {
         Transport link(connectTcp("127.0.0.1", coordinator.port()),
                        "forger");
         HelloMsg hello;
@@ -1070,9 +1223,10 @@ TEST(FabricAuth, WrongKeyFailsBothProofDirections)
         } catch (const FramingError &) {
         }
         link.close();
-    });
+    }, &bad_done);
 
-    std::thread good([&] {
+    Helper good([&] {
+        bad_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -1098,8 +1252,9 @@ TEST(FabricAuth, KeyedWorkerRefusesKeylessCoordinator)
     Coordinator coordinator(cfg, {0x03}); // keyless
 
     const TempKeyFile keyfile("demanding");
+    std::latch keyed_done(1);
     std::atomic<bool> refused{false};
-    std::thread keyed([&] {
+    Helper keyed([&] {
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "demanding";
@@ -1114,8 +1269,9 @@ TEST(FabricAuth, KeyedWorkerRefusesKeylessCoordinator)
                               .find("requires key authentication") !=
                           std::string::npos);
         }
-    });
-    std::thread good([&] {
+    }, &keyed_done);
+    Helper good([&] {
+        keyed_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -1137,7 +1293,7 @@ TEST(FabricAuth, KeyedWorkerRefusesDowngradeToUnauthenticatedWelcome)
     // sends a bare Welcome: the keyed worker must refuse to join
     // rather than silently downgrade to an unauthenticated session.
     TcpListener listener(0);
-    std::thread rogue([&] {
+    Helper rogue([&] {
         Transport link(listener.acceptClient(), "rogue");
         std::vector<std::uint8_t> msg;
         ASSERT_TRUE(link.receive(msg)); // Hello (wantAuth set)
@@ -1184,7 +1340,8 @@ TEST(FabricAuth, PreAuthCeilingDropsOversizedFirstFrame)
     cfg.batchSize = 1;
     Coordinator coordinator(cfg, {0x04});
 
-    std::thread flooder([&] {
+    std::latch flooder_done(1);
+    Helper flooder([&] {
         // An unauthenticated peer's very first frame claims a payload
         // far beyond any legitimate Hello: the coordinator must drop
         // the connection instead of buffering it.
@@ -1202,8 +1359,9 @@ TEST(FabricAuth, PreAuthCeilingDropsOversizedFirstFrame)
         }
         EXPECT_TRUE(dropped);
         link.close();
-    });
-    std::thread good([&] {
+    }, &flooder_done);
+    Helper good([&] {
+        flooder_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -1223,7 +1381,8 @@ TEST(FabricAuth, SilentPeerDroppedAtHandshakeDeadline)
     cfg.handshakeTimeoutMs = 100;
     Coordinator coordinator(cfg, {0x05});
 
-    std::thread lurker([&] {
+    std::latch lurker_done(1);
+    Helper lurker([&] {
         // Connects and says nothing: must be evicted at the deadline,
         // not allowed to pin a poll-loop slot forever.
         Transport link(connectTcp("127.0.0.1", coordinator.port()),
@@ -1237,11 +1396,11 @@ TEST(FabricAuth, SilentPeerDroppedAtHandshakeDeadline)
         }
         EXPECT_TRUE(dropped);
         link.close();
-    });
-    std::thread good([&] {
-        // Arrive after the lurker so its eviction is observable while
+    }, &lurker_done);
+    Helper good([&] {
+        // Arrive after the lurker's eviction, so it is observed while
         // units are still pending.
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+        lurker_done.wait();
         WorkerClientConfig wc;
         wc.port = coordinator.port();
         wc.name = "good";
@@ -1265,7 +1424,7 @@ TEST(NetFaults, DropCorruptAndDuplicateSemanticsOnTheWire)
     // drop: the frame vanishes; the peer sees only the clean EOF.
     {
         TcpListener listener(0);
-        std::thread peer([&] {
+        Helper peer([&] {
             Transport raw(connectTcp("127.0.0.1", listener.port()),
                           "drop-peer");
             NetFaultConfig nf;
@@ -1285,7 +1444,7 @@ TEST(NetFaults, DropCorruptAndDuplicateSemanticsOnTheWire)
     // it — corruption can break a connection, never forge a payload.
     {
         TcpListener listener(0);
-        std::thread peer([&] {
+        Helper peer([&] {
             Transport raw(connectTcp("127.0.0.1", listener.port()),
                           "corrupt-peer");
             NetFaultConfig nf;
@@ -1303,7 +1462,7 @@ TEST(NetFaults, DropCorruptAndDuplicateSemanticsOnTheWire)
     // duplicate (receive side): the same payload is delivered twice.
     {
         TcpListener listener(0);
-        std::thread peer([&] {
+        Helper peer([&] {
             Transport link(connectTcp("127.0.0.1", listener.port()),
                            "dup-peer");
             link.send({7, 8, 9});
@@ -1500,6 +1659,44 @@ TEST(FabricEnv, AuditRateAndKeyFileOverrides)
 
     EXPECT_EQ(CampaignConfig::fromEnv().distAuditRate, 0.0);
     EXPECT_TRUE(CampaignConfig::fromEnv().distKeyFile.empty());
+}
+
+TEST(FabricEnv, EnvironmentReachesADistributedCampaign)
+{
+    // What mtc_coordinator does: start from fromEnv, then run. The
+    // trace dump, the audit rate and the fabric key all come from the
+    // environment alone.
+    const CampaignConfig base = smallCampaign();
+    const auto baseline = runCampaign(fabricConfigs(), base);
+
+    TempFile trace("env_trace");
+    const TempKeyFile keyfile("env_key");
+    setenv("MTC_DUMP_TRACE", trace.path().c_str(), 1);
+    setenv("MTC_AUDIT_RATE", "1.0", 1);
+    setenv("MTC_FABRIC_KEY_FILE", keyfile.path().c_str(), 1);
+    CampaignConfig dist = CampaignConfig::fromEnv(base);
+    unsetenv("MTC_DUMP_TRACE");
+    unsetenv("MTC_AUDIT_RATE");
+    unsetenv("MTC_FABRIC_KEY_FILE");
+
+    FabricStats stats;
+    dist.mode = ExecutionMode::Distributed;
+    dist.distWorkers = 2;
+    dist.distStatsOut = &stats;
+    expectCampaignsIdentical(baseline, runCampaign(fabricConfigs(), dist));
+    EXPECT_GE(stats.byzantine.auditsScheduled, 1u);
+    EXPECT_EQ(stats.authFailures, 0u);
+
+    // The key file really is the one the fabric loads.
+    CampaignConfig missing_key = dist;
+    missing_key.distKeyFile = keyfile.path() + ".missing";
+    EXPECT_THROW(runCampaign(fabricConfigs(), missing_key), Error);
+
+    TraceCheckOptions check;
+    check.tracePath = trace.path();
+    const TraceCheckReport report = checkTrace(check);
+    EXPECT_FALSE(report.anyFault());
+    expectCampaignsIdentical(baseline, report.summaries);
 }
 
 TEST(FabricEnv, LoadFabricKeyRejectsShortKeys)

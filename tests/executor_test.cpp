@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/conventional_checker.h"
@@ -235,8 +236,11 @@ TEST(Executor, PresetConfigs)
 // execution its own memory model forbids.
 // ---------------------------------------------------------------------
 
+// The config name is a std::string, not a const char *: gtest prints a
+// pointer inside a tuple as its address, which would put a per-process
+// value into the discovered test names.
 using SoundnessParam =
-    std::tuple<const char *, MemoryModel, SchedulingPolicy>;
+    std::tuple<std::string, MemoryModel, SchedulingPolicy>;
 
 class ExecutorSoundness
     : public ::testing::TestWithParam<SoundnessParam>

@@ -17,7 +17,9 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "harness/campaign.h"
 #include "harness/campaign_report.h"
 #include "harness/exit_codes.h"
 
@@ -63,6 +65,75 @@ TEST(ExitCodes, CampaignMappingHonorsSeverityPriority)
     CampaignTotals confirmed_only;
     confirmed_only.confirmed = 1;
     EXPECT_EQ(campaignExitCode(confirmed_only), kExitViolation);
+}
+
+/** Exit code of @p summaries through the shared report. */
+int
+exitCodeOf(const std::vector<ConfigSummary> &summaries)
+{
+    std::ostringstream out, err;
+    return campaignExitCode(
+        printCampaignReport(out, err, "test", summaries));
+}
+
+TEST(ExitCodes, CrashOnlyCampaignIsACrashNotAViolation)
+{
+    // Platform crashes are counted inside `violations` — the summary
+    // digests fold them there — but a campaign whose only
+    // "violations" are crashes earns the crash code, not 2.
+    ConfigSummary s;
+    s.cfg = parseConfigName("x86-2-50-32");
+    s.tests = 6;
+    s.violations = 1;
+    s.platformCrashes = 1;
+    EXPECT_EQ(exitCodeOf({s}), kExitPlatformCrash);
+
+    // A real violation beside the crash still outranks it.
+    s.violations = 2;
+    EXPECT_EQ(exitCodeOf({s}), kExitViolation);
+}
+
+TEST(ExitCodes, ContainedWorkerCrashExitsWithTheCrashCode)
+{
+    // The containment drill: a real SIGSEGV in a sandbox worker,
+    // retried on the respawn. Every unit completes; the campaign
+    // reports the crash (4), not a violation (2).
+    CampaignConfig campaign;
+    campaign.iterations = 256;
+    campaign.testsPerConfig = 6;
+    campaign.seed = 11;
+    campaign.runConventional = false;
+    campaign.mode = ExecutionMode::Sandboxed;
+    campaign.threads = 2;
+    campaign.dieAfterRuns = 40;
+    campaign.recovery.crashRetries = 1;
+    const auto summaries =
+        runCampaign({parseConfigName("x86-2-50-32")}, campaign);
+    ASSERT_EQ(summaries.size(), 1u);
+    EXPECT_EQ(summaries[0].tests, 6u);
+    EXPECT_EQ(summaries[0].failedTests, 0u);
+    EXPECT_EQ(summaries[0].platformCrashes, 1u);
+    EXPECT_EQ(exitCodeOf(summaries), kExitPlatformCrash);
+}
+
+TEST(ExitCodes, ProtocolDeadlockExitsWithTheCrashCode)
+{
+    // The PUTX/GETX race deadlocks the coherent platform (the paper's
+    // bug 3): crashes only, no MCM violation.
+    CampaignConfig campaign;
+    campaign.iterations = 4; // every lane of the batch deadlocks
+    campaign.testsPerConfig = 2;
+    campaign.runConventional = false;
+    campaign.variant = PlatformVariant::Mesi;
+    campaign.bug = BugKind::PutxGetxRace;
+    campaign.bugProbability = 1.0;
+    campaign.cacheLines = 2;
+    const auto summaries =
+        runCampaign({parseConfigName("x86-4-50-64")}, campaign);
+    ASSERT_EQ(summaries.size(), 1u);
+    EXPECT_GT(summaries[0].platformCrashes, 0u);
+    EXPECT_EQ(summaries[0].violations, summaries[0].platformCrashes);
+    EXPECT_EQ(exitCodeOf(summaries), kExitPlatformCrash);
 }
 
 /** Rows of the README's exit-code table: code -> full row text. */

@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign.h"
@@ -590,6 +591,60 @@ TEST(SandboxCampaign, SummaryBitIdenticalAtAnyWorkerCount)
         ASSERT_EQ(run.size(), baseline.size());
         for (std::size_t i = 0; i < run.size(); ++i)
             expectSummariesIdentical(baseline[i], run[i]);
+    }
+}
+
+/** One small campaign per platform knob CampaignConfig carries. */
+std::vector<std::pair<std::string, CampaignConfig>>
+platformKnobCampaigns()
+{
+    const CampaignConfig base = smallCampaign();
+    std::vector<std::pair<std::string, CampaignConfig>> out;
+    CampaignConfig c = base;
+    c.variant = PlatformVariant::Uniform;
+    out.emplace_back("uniform", c);
+    c = base;
+    c.variant = PlatformVariant::Mesi;
+    out.emplace_back("mesi", c);
+    c = base;
+    c.bug = BugKind::LsqNoSquash;
+    c.bugProbability = 0.5;
+    out.emplace_back("lsq-bug", c);
+    c = base;
+    c.model = MemoryModel::SC;
+    out.emplace_back("sc-model", c);
+    c = base;
+    c.cacheLines = 2;
+    out.emplace_back("cache-lines", c);
+    return out;
+}
+
+TEST(SandboxCampaign, PlatformKnobsBitIdenticalAtAnyWorkerCountAndResume)
+{
+    for (const auto &[name, base] : platformKnobCampaigns()) {
+        SCOPED_TRACE(name);
+        const auto baseline = runCampaign(sandboxConfigs(), base);
+        TempFile journal("knob_" + name);
+        for (unsigned workers : {1u, 4u}) {
+            CampaignConfig sandboxed = base;
+            sandboxed.mode = ExecutionMode::Sandboxed;
+            sandboxed.threads = workers;
+            sandboxed.journalPath = journal.path();
+            const auto run = runCampaign(sandboxConfigs(), sandboxed);
+            ASSERT_EQ(run.size(), baseline.size());
+            for (std::size_t i = 0; i < run.size(); ++i)
+                expectSummariesIdentical(baseline[i], run[i]);
+        }
+        // Resume the sandboxed journal's torn prefix in process.
+        fs::resize_file(journal.path(),
+                        fs::file_size(journal.path()) / 2 + 3);
+        CampaignConfig resumed = base;
+        resumed.journalPath = journal.path();
+        resumed.resume = true;
+        const auto after = runCampaign(sandboxConfigs(), resumed);
+        ASSERT_EQ(after.size(), baseline.size());
+        for (std::size_t i = 0; i < after.size(); ++i)
+            expectSummariesIdentical(baseline[i], after[i]);
     }
 }
 

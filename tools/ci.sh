@@ -13,14 +13,18 @@
 # The sandbox passes then prove real crash containment end to end: a
 # --die-after drill SIGSEGVs a worker mid-campaign and the run must
 # finish every other unit and exit with the documented crash code, and
-# the kill-and-resume smoke is repeated in sandbox mode. The
-# distributed smoke closes the loop for the TCP fabric: a coordinator
+# the kill-and-resume smoke is repeated in sandbox mode. The parity
+# smoke runs one faulted campaign through mtc_validate in every
+# execution mode and requires the summary and exit code of
+# mtc_coordinator --serial, byte for byte. The distributed smoke
+# closes the loop for the TCP fabric: a coordinator
 # plus two external workers, one SIGKILLed mid-run, and the summary
 # (digests included) must be byte-identical to the serial run. The
 # trace round-trip smoke covers the offline split: a --dump-trace
 # campaign re-checked by mtc_check must reproduce the inline summary
 # byte for byte, and a torn copy of the trace must exit with the
-# classified trace-fault code.
+# classified trace-fault code. The stress pass last repeats the fork-
+# and socket-heavy suites 20 times under 2x core oversubscription.
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
 
@@ -78,38 +82,49 @@ echo "=== bench/hotpath --smoke --batch 8 (simd) ==="
 grep -q '"deterministic": true' BENCH_hotpath.smoke.json
 
 # Streaming-check smoke: the same faulted campaign once through the
-# streaming decode→check pipeline (the default, overlapped across 2
-# flow threads) and once through the barrier baseline
-# (--no-stream-check). Every summary line — campaign digests and the
-# fault/quarantine accounting included — must be byte-identical, and
-# so must the exit codes; this is the streamed-vs-barrier bit-identity
-# gate end to end, in the plain, sanitized, and SIMD trees.
+# streaming decode→check pipeline (the default; its trace dumped via
+# MTC_DUMP_TRACE) and once through the barrier baseline
+# (--no-stream-check), then the dumped trace re-checked offline by
+# mtc_check with the decode→check pipeline overlapped across 2
+# threads in a 7-diff window. Every summary line — campaign digests
+# and the fault/quarantine accounting included — must be
+# byte-identical, and so must the exit codes; this is the streamed vs
+# barrier vs overlapped bit-identity gate end to end, in the plain,
+# sanitized, and SIMD trees.
 stream_smoke() {
-    local bin="$1" tag="$2"
+    local bin_dir="$1" tag="$2"
+    local validate="${bin_dir}/tools/mtc_validate"
     local streamed="build/ci_stream_${tag}.stream.txt"
     local barrier="build/ci_stream_${tag}.barrier.txt"
+    local overlapped="build/ci_stream_${tag}.overlap.txt"
+    local trace="build/ci_stream_${tag}.trace"
     local args=(--config ARM-4-100-64 --tests 6 --iterations 1024
                 --seed 3 --shard-size 32 --fault-bitflip 0.01
                 --fault-truncate 0.005)
-    rm -f "${streamed}" "${barrier}"
-    local stream_rc=0 barrier_rc=0
-    "${bin}" "${args[@]}" --threads 2 --stream-window 7 \
+    rm -f "${streamed}" "${barrier}" "${overlapped}" "${trace}"
+    local stream_rc=0 barrier_rc=0 overlap_rc=0
+    MTC_DUMP_TRACE="${trace}" "${validate}" "${args[@]}" \
         > "${streamed}" || stream_rc=$?
     [ "${stream_rc}" -ne 1 ]
-    "${bin}" "${args[@]}" --no-stream-check \
+    "${validate}" "${args[@]}" --no-stream-check \
         > "${barrier}" || barrier_rc=$?
     [ "${barrier_rc}" -eq "${stream_rc}" ]
     diff <(grep -E "^campaign|fault summary" "${streamed}") \
          <(grep -E "^campaign|fault summary" "${barrier}")
-    rm -f "${streamed}" "${barrier}"
+    "${bin_dir}/tools/mtc_check" "${trace}" --threads 2 \
+        --stream-window 7 > "${overlapped}" || overlap_rc=$?
+    [ "${overlap_rc}" -eq "${stream_rc}" ]
+    diff <(grep '^campaign' "${streamed}") \
+         <(grep '^campaign' "${overlapped}")
+    rm -f "${streamed}" "${barrier}" "${overlapped}" "${trace}"
 }
 
 echo "=== streaming-check smoke (plain) ==="
-stream_smoke ./build/tools/mtc_validate plain
+stream_smoke ./build plain
 echo "=== streaming-check smoke (asan) ==="
-stream_smoke ./build-asan/tools/mtc_validate asan
+stream_smoke ./build-asan asan
 echo "=== streaming-check smoke (simd) ==="
-stream_smoke ./build-simd/tools/mtc_validate simd
+stream_smoke ./build-simd simd
 
 # Kill-and-resume smoke: run a journaled campaign, SIGKILL it mid-run
 # (tearing whatever record was in flight), resume from the journal,
@@ -135,9 +150,9 @@ resume_smoke() {
     "${bin}" "${args[@]}" --journal "${j}" --resume \
         > "${resumed}" || resume_rc=$?
     [ "${resume_rc}" -eq "${base_rc}" ]
-    grep -q "resume:" "${resumed}"
-    diff <(grep -E "campaign summary|fault summary" "${base}") \
-         <(grep -E "campaign summary|fault summary" "${resumed}")
+    grep -Eq "^resume: [0-9]+ completed tests replayed" "${resumed}"
+    diff <(grep -E "^campaign|fault summary" "${base}") \
+         <(grep -E "^campaign|fault summary" "${resumed}")
     rm -f "${j}" "${base}" "${resumed}"
 }
 
@@ -160,8 +175,9 @@ resume_smoke ./build-asan/tools/mtc_validate sbx_asan 4 \
 
 # Containment smoke: a --die-after drill raises a REAL SIGSEGV in a
 # worker mid-campaign. The campaign must survive it, complete every
-# test (the respawned worker retries the killed unit), report the
-# contained crash, and exit with the documented platform-crash code 4.
+# test (the respawned worker retries the killed unit, so 6 of 6 tests
+# with failed=0), report the lost worker, and exit with the documented
+# platform-crash code 4.
 containment_smoke() {
     local bin="$1" tag="$2"
     local out="build/ci_contain_${tag}.txt"
@@ -170,9 +186,10 @@ containment_smoke() {
         --sandbox --threads 2 --die-after 40 --crash-retries 1 \
         > "${out}" 2>&1 || rc=$?
     [ "${rc}" -eq 4 ]
-    grep -q "contained worker crashes" "${out}"
-    grep -Eq "campaign summary: [0-9]+/6 tests flagged" "${out}"
-    grep -q "platform crashes" "${out}"
+    grep -Eq "^campaign summary: x86-2-50-32 tests=6 .* failed=0 " \
+        "${out}"
+    grep -q "lost its worker" "${out}"
+    grep -q "^platform crashes: 1$" "${out}"
     rm -f "${out}"
 }
 
@@ -180,6 +197,49 @@ echo "=== crash-containment smoke (plain) ==="
 containment_smoke ./build/tools/mtc_validate plain
 echo "=== crash-containment smoke (asan) ==="
 containment_smoke ./build-asan/tools/mtc_validate asan
+
+# Front-end parity smoke: both campaign CLIs are flag layers over one
+# engine (runCampaign), so the same faulted campaign must print the
+# same `campaign` lines and exit with the same code whichever front
+# end runs it and however its units are spread: mtc_validate in
+# process at 1 and 4 threads, on 2 sandbox workers and on a 2-worker
+# loopback fabric, each byte-compared against mtc_coordinator
+# --serial. The platform-deadlock example (PUTX/GETX race on the MESI
+# platform) must exit with the crash code 4, not as a violation.
+parity_smoke() {
+    local bin_dir="$1" tag="$2"
+    local validate="${bin_dir}/tools/mtc_validate"
+    local base="build/ci_parity_${tag}.base.txt"
+    local out="build/ci_parity_${tag}.out.txt"
+    local args=(--config x86-2-50-32 --tests 6 --iterations 1024
+                --seed 5 --fault-bitflip 0.01 --fault-drop 0.01)
+    rm -f "${base}" "${out}"
+    local base_rc=0
+    "${bin_dir}/tools/mtc_coordinator" "${args[@]}" --serial \
+        > "${base}" || base_rc=$?
+    [ "${base_rc}" -ne 1 ]
+    local mode
+    for mode in "--threads 1" "--threads 4" "--sandbox --threads 2" \
+                "--distributed 2"; do
+        local rc=0
+        # shellcheck disable=SC2086 # the mode is a flag list
+        "${validate}" "${args[@]}" ${mode} > "${out}" 2> /dev/null \
+            || rc=$?
+        [ "${rc}" -eq "${base_rc}" ]
+        diff <(grep '^campaign' "${base}") <(grep '^campaign' "${out}")
+    done
+    local deadlock_rc=0
+    "${validate}" --config x86-4-50-64 --platform mesi --bug putx \
+        --bug-prob 1.0 --cache-lines 2 --tests 2 --iterations 64 \
+        > "${out}" 2> /dev/null || deadlock_rc=$?
+    [ "${deadlock_rc}" -eq 4 ]
+    rm -f "${base}" "${out}"
+}
+
+echo "=== front-end parity smoke (plain) ==="
+parity_smoke ./build plain
+echo "=== front-end parity smoke (asan) ==="
+parity_smoke ./build-asan asan
 
 # Distributed-fabric smoke: the same campaign once serial in-process
 # (mtc_coordinator --serial) and once served over the TCP fabric to
@@ -364,4 +424,36 @@ chaos_smoke ./build plain
 echo "=== chaos smoke: faults + Byzantine quarantine (asan) ==="
 chaos_smoke ./build-asan asan
 
-echo "=== CI OK: plain, sanitized, simd, parallel, resume, sandbox, distributed, trace, and chaos suites all green ==="
+# Stress pass: the fork- and socket-heavy suites repeated 20 times
+# while busy loops oversubscribe every core 2x, so a test that waits
+# on elapsed time where it means to wait on an event fails here
+# instead of once in a while in tier-1. The script starts and stops
+# its own load; it touches no other process.
+stress_pass() {
+    local loads=() rc=0 t
+    for _ in $(seq 1 $((2 * $(nproc)))); do
+        (while :; do :; done) &
+        loads+=("$!")
+    done
+    for t in dist_test checkpoint_resume_test sandbox_test \
+             trace_check_test; do
+        ./build/tests/"${t}" --gtest_repeat=20 --gtest_brief=1 \
+            > "build/ci_stress_${t}.txt" 2>&1 &
+    done
+    for t in dist_test checkpoint_resume_test sandbox_test \
+             trace_check_test; do
+        wait -n || rc=$?
+    done
+    kill "${loads[@]}"
+    wait "${loads[@]}" 2> /dev/null || true
+    if [ "${rc}" -ne 0 ]; then
+        grep -h -B2 -A20 "FAILED\|Failure" build/ci_stress_*.txt || true
+        return 1
+    fi
+    rm -f build/ci_stress_*.txt
+}
+
+echo "=== stress pass: 20 repeats under 2x oversubscription ==="
+stress_pass
+
+echo "=== CI OK: plain, sanitized, simd, parallel, resume, sandbox, parity, distributed, trace, chaos and stress suites all green ==="

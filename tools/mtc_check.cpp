@@ -37,6 +37,7 @@
 #include "harness/campaign_report.h"
 #include "harness/exit_codes.h"
 #include "harness/trace_check.h"
+#include "cli_common.h"
 
 using namespace mtc;
 
@@ -67,20 +68,6 @@ usage()
         "            5 hang, 6 circuit breaker tripped, 7 trace fault\n";
 }
 
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t value = std::stoull(text, &pos);
-        if (pos == text.size() && text[0] != '-')
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects an unsigned integer, got \"" +
-                      text + "\"");
-}
-
 TraceCheckOptions
 parseArgs(int argc, char **argv)
 {
@@ -103,12 +90,12 @@ parseArgs(int argc, char **argv)
             opt.resume = true;
         else if (arg == "--threads")
             opt.threads =
-                static_cast<unsigned>(parseCount(arg, next()));
+                static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--no-stream")
             opt.streamCheck = false;
         else if (arg == "--stream-window")
             opt.streamWindow =
-                static_cast<std::size_t>(parseCount(arg, next()));
+                static_cast<std::size_t>(cli::parseCount(arg, next()));
         else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);

@@ -29,6 +29,7 @@
  *                         streams for offline checking (mtc_check)
  *     --test-timeout-ms N per-test watchdog deadline (worker-side)
  *     --port N            TCP port; 0 = ephemeral            [0]
+ *     --host ADDR         IPv4 bind address          [127.0.0.1]
  *     --port-file PATH    write the bound port here once listening
  *     --workers N         loopback workers to fork; 0 waits for
  *                         external mtc_worker processes      [2]
@@ -61,9 +62,14 @@
  *     --verbose           per-config detail table
  *     --help
  *
+ * Every MTC_* campaign variable (CampaignConfig::fromEnv) sets a
+ * default — MTC_DUMP_TRACE, MTC_FABRIC_KEY_FILE, MTC_AUDIT_RATE, the
+ * MTC_NET_FAULT_* chaos knobs, ... — and an explicit flag wins.
+ *
  * Exit status mirrors mtc_validate:
  *   0 clean, 1 config error, 2 confirmed violation, 3 corruption
- *   only, 4 failed/abandoned units, 5 hang, 6 breaker tripped.
+ *   only, 4 platform crash or failed/abandoned units, 5 hang,
+ *   6 breaker tripped.
  */
 
 #include <cstdint>
@@ -76,8 +82,8 @@
 #include "harness/campaign.h"
 #include "harness/campaign_report.h"
 #include "harness/exit_codes.h"
-#include "support/table.h"
 #include "testgen/test_config.h"
+#include "cli_common.h"
 
 using namespace mtc;
 
@@ -120,6 +126,8 @@ usage()
         "                    summaries (env: MTC_DUMP_TRACE)\n"
         "  --test-timeout-ms N  worker-side watchdog deadline [off]\n"
         "  --port N          TCP port; 0 = ephemeral [0]\n"
+        "  --host ADDR       IPv4 address to listen on; 0.0.0.0 opens\n"
+        "                    the fabric to other hosts [127.0.0.1]\n"
         "  --port-file PATH  write the bound port (decimal, one line)\n"
         "                    once listening — how scripts find an\n"
         "                    ephemeral port\n"
@@ -166,47 +174,13 @@ usage()
         "                    it returns; only --audit-rate > 0 can\n"
         "                    catch and quarantine it [off]\n"
         "  --verbose         per-config detail table\n"
+        "env: every MTC_* campaign variable (MTC_DUMP_TRACE,\n"
+        "     MTC_FABRIC_KEY_FILE, MTC_AUDIT_RATE, MTC_NET_FAULT_*, ...)\n"
+        "     sets a default; an explicit flag wins\n"
         "exit codes: 0 clean, 1 config error, 2 confirmed violation,\n"
-        "            3 corruption only, 4 failed/abandoned units,\n"
-        "            5 hang, 6 circuit breaker tripped\n";
-}
-
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text,
-           int base = 10)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t value = std::stoull(text, &pos, base);
-        if (pos == text.size() && text[0] != '-')
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects an unsigned integer, got \"" +
-                      text + "\"");
-}
-
-double
-parseRate(const std::string &flag, const std::string &text)
-{
-    try {
-        std::size_t pos = 0;
-        const double value = std::stod(text, &pos);
-        if (pos == text.size())
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects a number, got \"" + text + "\"");
-}
-
-double
-parseRate01(const std::string &flag, const std::string &text)
-{
-    const double value = parseRate(flag, text);
-    if (!(value >= 0.0 && value <= 1.0))
-        throw ConfigError(flag + " expects a fraction in [0, 1], got \"" +
-                          text + "\"");
-    return value;
+        "            3 corruption only, 4 platform crash or\n"
+        "            failed/abandoned units, 5 hang, 6 circuit breaker\n"
+        "            tripped\n";
 }
 
 /** Chaos flags hit both directions; the split is API surface only. */
@@ -221,58 +195,34 @@ setFaultRate(CampaignConfig &c, double NetFaultRates::*field,
 Options
 parseArgs(int argc, char **argv)
 {
+    using cli::parseCount;
+    using cli::parseRate01;
+    CampaignConfig defaults;
+    defaults.iterations = 512;
+    defaults.testsPerConfig = 3;
+    defaults.runConventional = false;
     Options opt;
+    // Environment defaults first so explicit flags win.
+    opt.campaign = CampaignConfig::fromEnv(defaults);
     CampaignConfig &c = opt.campaign;
-    c.iterations = 512;
-    c.testsPerConfig = 3;
-    c.runConventional = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
+        const auto next = [&]() -> std::string {
             if (++i >= argc)
                 throw ConfigError("missing value after " + arg);
             return argv[i];
         };
+        if (cli::applyCampaignFlag(c, arg, next))
+            continue;
         if (arg == "--config")
             opt.configNames.push_back(next());
-        else if (arg == "--tests")
-            c.testsPerConfig =
-                static_cast<unsigned>(parseCount(arg, next()));
-        else if (arg == "--iterations")
-            c.iterations = parseCount(arg, next());
-        else if (arg == "--seed")
-            c.seed = parseCount(arg, next());
-        else if (arg == "--fault-bitflip")
-            c.fault.bitFlipRate = parseRate(arg, next());
-        else if (arg == "--fault-torn")
-            c.fault.tornStoreRate = parseRate(arg, next());
-        else if (arg == "--fault-truncate")
-            c.fault.truncationRate = parseRate(arg, next());
-        else if (arg == "--fault-drop")
-            c.fault.dropRate = parseRate(arg, next());
-        else if (arg == "--fault-dup")
-            c.fault.duplicateRate = parseRate(arg, next());
-        else if (arg == "--fault-seed")
-            c.fault.seed = parseCount(arg, next(), 0);
-        else if (arg == "--confirm-k")
-            c.recovery.confirmationRuns =
-                static_cast<unsigned>(parseCount(arg, next()));
-        else if (arg == "--journal") {
-            c.journalPath = next();
-            if (c.journalPath.empty())
-                throw ConfigError("--journal expects a non-empty path");
-        } else if (arg == "--resume")
-            c.resume = true;
-        else if (arg == "--dump-trace") {
-            c.dumpTracePath = next();
-            if (c.dumpTracePath.empty())
-                throw ConfigError(
-                    "--dump-trace expects a non-empty path");
-        } else if (arg == "--test-timeout-ms")
-            c.testTimeoutMs = parseCount(arg, next());
+        else if (arg == "--dump-trace")
+            c.dumpTracePath = cli::parsePath(arg, next());
         else if (arg == "--port")
             c.distPort =
                 static_cast<std::uint16_t>(parseCount(arg, next()));
+        else if (arg == "--host")
+            c.distHost = next();
         else if (arg == "--port-file")
             c.distPortFile = next();
         else if (arg == "--workers")
@@ -290,13 +240,6 @@ parseArgs(int argc, char **argv)
             c.distLeaseTimeoutMs = parseCount(arg, next());
         else if (arg == "--serial")
             opt.serial = true;
-        else if (arg == "--fabric-key-file") {
-            c.distKeyFile = next();
-            if (c.distKeyFile.empty())
-                throw ConfigError(
-                    "--fabric-key-file expects a non-empty path");
-        } else if (arg == "--audit-rate")
-            c.distAuditRate = parseRate01(arg, next());
         else if (arg == "--net-fault-drop")
             setFaultRate(c, &NetFaultRates::drop,
                          parseRate01(arg, next()));
@@ -335,8 +278,6 @@ parseArgs(int argc, char **argv)
             throw ConfigError("unknown option: " + arg);
         }
     }
-    if (c.resume && c.journalPath.empty())
-        throw ConfigError("--resume needs a journal (--journal PATH)");
     if (opt.configNames.empty())
         opt.configNames.push_back("x86-4-50-64");
     c.mode = opt.serial ? ExecutionMode::InProcess
@@ -374,25 +315,8 @@ main(int argc, char **argv)
         const std::vector<ConfigSummary> summaries =
             runCampaign(configs, opt.campaign);
 
-        if (opt.verbose) {
-            TablePrinter table({"config", "tests", "unique sigs",
-                                "violations", "failed", "hung",
-                                "retries"});
-            for (const ConfigSummary &s : summaries) {
-                table.addRow(
-                    {s.cfg.name(),
-                     TablePrinter::fmt(std::uint64_t(s.tests)),
-                     TablePrinter::fmt(s.avgUniqueSignatures, 2),
-                     TablePrinter::fmt(s.violations),
-                     TablePrinter::fmt(
-                         std::uint64_t(s.failedTests)),
-                     TablePrinter::fmt(std::uint64_t(s.hungTests)),
-                     TablePrinter::fmt(
-                         std::uint64_t(s.testRetriesUsed))});
-            }
-            table.print(std::cout);
-            std::cout << "\n";
-        }
+        if (opt.verbose)
+            printConfigTable(std::cout, summaries);
 
         // Deterministic summary block: one line per config plus a
         // campaign digest, all free of wall-clock — this is what the
@@ -402,27 +326,8 @@ main(int argc, char **argv)
         const CampaignTotals totals = printCampaignReport(
             std::cout, std::cerr, "mtc_coordinator", summaries);
 
-        // Operational fabric report. Deliberately NOT prefixed
-        // "campaign": the CI smoke byte-compares `grep '^campaign'`
-        // between serial and distributed runs, and audit bookkeeping
-        // is not part of that deterministic contract.
-        if (!opt.serial && opt.campaign.distAuditRate > 0.0) {
-            const ByzantineStats &b = fabric_stats.byzantine;
-            std::cout << "fabric byzantine: audits=" << b.auditsScheduled
-                      << " passed=" << b.auditsPassed
-                      << " mismatches=" << b.auditMismatches
-                      << " skipped=" << b.auditsSkipped
-                      << " arbitrations=" << b.localArbitrations
-                      << " invalidated=" << b.resultsInvalidated
-                      << " quarantined=";
-            if (b.quarantined.empty()) {
-                std::cout << "-";
-            } else {
-                for (std::size_t i = 0; i < b.quarantined.size(); ++i)
-                    std::cout << (i ? "," : "") << b.quarantined[i];
-            }
-            std::cout << "\n";
-        }
+        if (!opt.serial && opt.campaign.distAuditRate > 0.0)
+            cli::printAuditReport(std::cout, fabric_stats.byzantine);
 
         return campaignExitCode(totals);
     } catch (const Error &err) {

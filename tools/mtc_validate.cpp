@@ -3,8 +3,13 @@
  * mtc_validate — command-line MCM validation campaigns.
  *
  * Runs the full MTraceCheck flow (generate -> instrument -> execute ->
- * collect signatures -> collectively check) on a simulated platform
- * and reports per-test results plus campaign totals.
+ * collect signatures -> collectively check) over one test
+ * configuration on a simulated platform. A flag layer only: the MTC_*
+ * environment defaults (CampaignConfig::fromEnv) and the flags below
+ * become one CampaignConfig, runCampaign runs it — in process, in
+ * sandboxed worker processes, or over the TCP fabric — and the report
+ * and exit code are the ones mtc_coordinator and mtc_check print for
+ * the same campaign, byte for byte.
  *
  * Usage:
  *   mtc_validate [options]
@@ -18,187 +23,55 @@
  *     --bug KIND        none | upgrade | lsq | putx           [none]
  *     --bug-prob P      bug firing probability                [0.1]
  *     --cache-lines N   per-core L1 capacity (0 = unbounded)  [0]
- *     --fault-bitflip P per-word signature bit-flip rate      [0]
- *     --fault-torn P    torn multi-word store rate            [0]
- *     --fault-truncate P  per-thread stream truncation rate   [0]
- *     --fault-drop P    lost-iteration rate                   [0]
- *     --fault-dup P     duplicated-iteration rate             [0]
- *     --fault-seed N    fault injector seed                   [0xfa017]
+ *     --fault-bitflip P / --fault-torn P / --fault-truncate P /
+ *     --fault-drop P / --fault-dup P / --fault-seed N
+ *                       readout-path fault injection          [0]
  *     --confirm-k N     K-re-execution confirmation budget    [2]
  *     --crash-retries N reseeded retries after platform crash [0]
+ *     --threads N       tests run in parallel (sandbox workers
+ *                       with --sandbox); 0 = all cores        [1]
+ *     --batch N         lockstep batch width; 0 = default     [0]
+ *     --shard-size N    collective-checker shard size         [0]
+ *     --no-stream-check barrier decode-then-check baseline
  *     --journal PATH    write-ahead unit journal (crash-safe)
  *     --resume          replay completed units from --journal
  *     --test-timeout-ms N  per-test watchdog deadline          [off]
  *     --error-budget N  circuit breaker: stop after N errors  [off]
  *     --stall-after N   drill: wedge every run after N steps  [off]
  *     --sandbox         run each test in a forked worker process
- *     --sandbox-mem-mb N  per-worker RLIMIT_AS budget          [off]
- *     --sandbox-cpu-s N per-worker RLIMIT_CPU budget          [off]
+ *     --sandbox-mem-mb N / --sandbox-cpu-s N  worker budgets  [off]
  *     --distributed N   run each test on a fleet of N loopback TCP
  *                       workers (the fabric of mtc_coordinator) [off]
+ *     --fabric-key-file PATH / --audit-rate P  fabric security
  *     --die-after N     drill: Nth run raises a real SIGSEGV  [off]
  *     --leak-after N    drill: Nth run allocation-bombs       [off]
- *     --verbose         per-test detail rows
+ *     --profile         per-phase wall-clock breakdown
+ *     --verbose         per-config detail table
  *     --help
  *
- * Exit status (scripts cleanly into regression farms):
- *   0  clean — no violation, no readout corruption
- *   1  configuration / usage error
- *   2  confirmed MCM violation (cyclic signature reproduced under the
- *      K-re-execution protocol, or an instrumented-chain assertion)
- *   3  corruption only — signatures were quarantined or violations
- *      were reclassified as injected-fault transients, nothing
- *      confirmed
- *   4  platform crash (protocol deadlock) without a confirmed
- *      violation
- *   5  hang — the watchdog reclaimed at least one wedged test
- *   6  circuit breaker tripped — the campaign stopped early
+ * Exit status: see harness/exit_codes.h (0 clean, 1 config error,
+ * 2 confirmed violation, 3 corruption only, 4 platform crash or
+ * failed test, 5 hang, 6 circuit breaker tripped).
  */
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include <csignal>
-
-#include <unistd.h>
-
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
-
 #include "dist/coordinator.h"
-#include "dist/worker_client.h"
 #include "harness/campaign.h"
-#include "harness/campaign_journal.h"
-#include "harness/dist_campaign.h"
+#include "harness/campaign_plan.h"
+#include "harness/campaign_report.h"
 #include "harness/exit_codes.h"
-#include "harness/sandbox.h"
-#include "harness/validation_flow.h"
-#include "harness/watchdog.h"
-#include "support/hmac.h"
-#include "support/process.h"
-#include "support/rng.h"
-#include "sim/coherent_executor.h"
-#include "sim/executor.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
-#include "testgen/generator.h"
+#include "cli_common.h"
 
 using namespace mtc;
 
 namespace
 {
-
-struct Options
-{
-    std::string config = "x86-4-50-64";
-    unsigned tests = 10;
-    std::uint64_t iterations = 2048;
-    std::uint64_t seed = 2017;
-    std::string platform = "timed";
-    std::optional<MemoryModel> model;
-    std::string bug = "none";
-    double bugProb = 0.1;
-    std::uint32_t cacheLines = 0;
-    FaultConfig fault;
-    RecoveryConfig recovery;
-
-    /** Worker threads for the in-test parallel stages (decode fan-out
-     * and sharded checking); 0 = hardware concurrency. Defaults to
-     * MTC_THREADS when set, else 1 (serial). */
-    unsigned threads = 1;
-
-    /** Lockstep batch width of the test loop; 0 = flow default (32),
-     * 1 = scalar stepping. Summaries are bit-identical at any width.
-     * Defaults to MTC_BATCH when set. */
-    std::uint32_t batch = 0;
-
-    /** Collective-checker shard size; 0 = unsharded. */
-    std::size_t shardSize = 0;
-
-    /** Streaming decode→check pipeline (delta decode + incremental
-     * edge derivation); false runs the barrier baseline. Results are
-     * bit-identical either way. */
-    bool streamCheck = true;
-
-    /** Bounded decode→check window of the overlapped pipeline;
-     * 0 = unbounded. Defaults to MTC_STREAM_WINDOW when set. */
-    std::size_t streamWindow = 64;
-
-    /** Write-ahead journal path; empty = no journal. Defaults to
-     * MTC_JOURNAL when set. */
-    std::string journalPath;
-
-    /** Replay completed units from the journal instead of re-running
-     * them (requires --journal). */
-    bool resume = false;
-
-    /** Per-test watchdog deadline in ms; 0 = no watchdog. Defaults to
-     * MTC_TEST_TIMEOUT_MS when set. */
-    std::uint64_t testTimeoutMs = 0;
-
-    /** Circuit breaker: stop the campaign after this many error
-     * events (hangs, crashes, quarantines); 0 = never. */
-    unsigned errorBudget = 0;
-
-    /** Liveness drill: wedge every platform run after N scheduler
-     * steps (0 = off). Pair with --test-timeout-ms. */
-    std::uint64_t stallAfterSteps = 0;
-
-    /** Run every test in a forked sandbox worker (crash containment);
-     * --threads then sets the worker process count. Defaults to
-     * MTC_SANDBOX when set. */
-    bool sandbox = false;
-
-    /** Per-worker RLIMIT_AS budget in MB (0 = unlimited; ignored in
-     * sanitizer builds). Defaults to MTC_SANDBOX_MEM_MB. */
-    std::uint64_t sandboxMemMb = 0;
-
-    /** Per-worker RLIMIT_CPU budget in seconds (0 = unlimited).
-     * Defaults to MTC_SANDBOX_CPU_S. */
-    std::uint64_t sandboxCpuS = 0;
-
-    /** Run every test on a fleet of this many loopback TCP workers
-     * (the mtc_coordinator fabric, self-contained on localhost);
-     * 0 = off. Mutually exclusive with --sandbox. */
-    unsigned distributed = 0;
-
-    /** Pre-shared fabric key file for --distributed; empty = keyless
-     * loopback. Defaults to MTC_FABRIC_KEY_FILE when set. */
-    std::string fabricKeyFile;
-
-    /** Byzantine audit rate for --distributed: fraction of tests
-     * re-executed by a second worker and cross-compared. Defaults to
-     * MTC_AUDIT_RATE when set. */
-    double auditRate = 0.0;
-
-    /** Seeded chaos faults on every fabric connection, from the
-     * MTC_NET_FAULT_* variables. */
-    NetFaultConfig netFault;
-
-    /** Hard-crash drill: the Nth platform run raises a real SIGSEGV
-     * (0 = off). In-process this kills the campaign; under --sandbox
-     * it is contained — that contrast is the drill's purpose. */
-    std::uint64_t dieAfterRuns = 0;
-
-    /** Allocation-bomb drill: the Nth platform run leaks until
-     * operator new fails (0 = off). Exercises --sandbox-mem-mb. */
-    std::uint64_t leakAfterRuns = 0;
-
-    bool verbose = false;
-
-    /** Print the per-phase wall-clock breakdown of the campaign. */
-    bool profile = false;
-};
 
 void
 usage()
@@ -208,7 +81,8 @@ usage()
         "  --config NAME     test configuration [x86-4-50-64]\n"
         "  --tests N         tests in the campaign [10]\n"
         "  --iterations N    runs per test [2048]\n"
-        "  --seed N          campaign seed [2017]\n"
+        "  --seed N          campaign seed; selects the same tests as\n"
+        "                    mtc_coordinator with the same seed [2017]\n"
         "  --platform KIND   timed | uniform | mesi | linux [timed]\n"
         "  --model M         override checked model: sc|tso|rmo\n"
         "  --bug KIND        none | upgrade | lsq | putx [none]\n"
@@ -222,9 +96,10 @@ usage()
         "  --fault-seed N    fault injector seed [0xfa017]\n"
         "  --confirm-k N     K-re-execution confirmation budget [2]\n"
         "  --crash-retries N reseeded retries after crash [0]\n"
-        "  --threads N       worker threads for signature decoding and\n"
-        "                    sharded checking; 0 = all hardware threads\n"
-        "                    (default: MTC_THREADS if set, else 1)\n"
+        "  --threads N       tests run in parallel (with --sandbox:\n"
+        "                    worker processes); 0 = all hardware\n"
+        "                    threads; summaries are bit-identical at\n"
+        "                    any value (default: MTC_THREADS, else 1)\n"
         "  --batch N         lockstep batch width of the test loop:\n"
         "                    iterations dispatched per batched-engine\n"
         "                    call; 1 = scalar stepping; summaries are\n"
@@ -237,11 +112,6 @@ usage()
         "                    instead of the streaming pipeline (delta\n"
         "                    decode + incremental edge derivation);\n"
         "                    results are bit-identical either way\n"
-        "  --stream-window N bounded decode->check window of the\n"
-        "                    overlapped streaming pipeline (diffs in\n"
-        "                    flight when --threads > 1); 0 = unbounded\n"
-        "                    (default: MTC_STREAM_WINDOW if set,\n"
-        "                    else 64)\n"
         "  --journal PATH    append each completed test to a crash-safe\n"
         "                    write-ahead journal at PATH\n"
         "  --resume          replay tests already in the journal and\n"
@@ -251,7 +121,8 @@ usage()
         "  --test-timeout-ms N  watchdog: cancel any test attempt\n"
         "                    still running after N ms and report it\n"
         "                    hung; 0 = no watchdog [0]\n"
-        "  --error-budget N  circuit breaker: once hangs + crashes +\n"
+        "  --error-budget N  circuit breaker: once hung attempts +\n"
+        "                    failed tests + platform crashes +\n"
         "                    quarantined signatures reach N, skip the\n"
         "                    remaining tests; 0 = never [0]\n"
         "  --stall-after N   liveness drill: wedge every platform run\n"
@@ -292,45 +163,29 @@ usage()
         "  --profile         per-phase wall-clock breakdown (execute,\n"
         "                    encode, accumulate, sort-unique, decode,\n"
         "                    check, ...) aggregated over the campaign\n"
-        "  --verbose         per-test detail rows\n"
-        "env: MTC_THREADS sets the --threads default (0 = all hardware\n"
-        "     threads); results are identical at any thread count.\n"
-        "     MTC_JOURNAL and MTC_TEST_TIMEOUT_MS set the --journal\n"
-        "     and --test-timeout-ms defaults. MTC_SANDBOX=1 turns on\n"
-        "     --sandbox; MTC_SANDBOX_MEM_MB / MTC_SANDBOX_CPU_S set\n"
-        "     the worker budgets\n"
+        "  --verbose         per-config detail table\n"
+        "env: every MTC_* campaign variable (MTC_ITERATIONS, MTC_TESTS,\n"
+        "     MTC_SEED, MTC_THREADS, MTC_BATCH, MTC_JOURNAL,\n"
+        "     MTC_DUMP_TRACE, MTC_SANDBOX, ...) sets a default; an\n"
+        "     explicit flag wins\n"
         "exit codes: 0 clean, 1 config error, 2 confirmed violation,\n"
         "            3 corruption only, 4 platform crash (including a\n"
-        "            contained sandbox worker crash), 5 hang,\n"
-        "            6 circuit breaker tripped\n";
+        "            contained sandbox worker crash) or failed test,\n"
+        "            5 hang, 6 circuit breaker tripped\n";
 }
 
-/** Strict numeric flag values: errors name the flag, not "stod". */
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text, int base = 10)
+PlatformVariant
+parsePlatform(const std::string &text)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t value = std::stoull(text, &pos, base);
-        if (pos == text.size() && text[0] != '-')
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects an unsigned integer, got \"" +
-                      text + "\"");
-}
-
-double
-parseRate(const std::string &flag, const std::string &text)
-{
-    try {
-        std::size_t pos = 0;
-        const double value = std::stod(text, &pos);
-        if (pos == text.size())
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects a number, got \"" + text + "\"");
+    if (text == "timed")
+        return PlatformVariant::BareMetal;
+    if (text == "linux")
+        return PlatformVariant::Linux;
+    if (text == "uniform")
+        return PlatformVariant::Uniform;
+    if (text == "mesi")
+        return PlatformVariant::Mesi;
+    throw ConfigError("unknown platform: " + text);
 }
 
 BugKind
@@ -347,144 +202,86 @@ parseBug(const std::string &text)
     throw ConfigError("unknown bug kind: " + text);
 }
 
-Options
+/** The campaign to run, its one configuration, and the flags that
+ * only shape the printout. */
+struct Invocation
+{
+    CampaignConfig campaign;
+    std::string configName = "x86-4-50-64";
+    std::string platformName = "timed";
+    bool verbose = false;
+};
+
+Invocation
 parseArgs(int argc, char **argv)
 {
-    Options opt;
+    CampaignConfig defaults;
+    defaults.testsPerConfig = 10;
+    defaults.runConventional = false;
+    Invocation inv;
     // Environment defaults first so explicit flags win.
-    if (const char *env = std::getenv("MTC_THREADS"))
-        opt.threads = static_cast<unsigned>(
-            parseEnvCount("MTC_THREADS", env, true));
-    if (const char *env = std::getenv("MTC_BATCH"))
-        opt.batch = static_cast<std::uint32_t>(
-            parseEnvCount("MTC_BATCH", env, true));
-    if (const char *env = std::getenv("MTC_STREAM_WINDOW"))
-        opt.streamWindow = static_cast<std::size_t>(
-            parseEnvCount("MTC_STREAM_WINDOW", env, true));
-    if (const char *env = std::getenv("MTC_JOURNAL")) {
-        if (*env == '\0')
-            throw ConfigError(
-                "MTC_JOURNAL is set but empty; unset it or give a path");
-        opt.journalPath = env;
-    }
-    if (const char *env = std::getenv("MTC_TEST_TIMEOUT_MS"))
-        opt.testTimeoutMs =
-            parseEnvCount("MTC_TEST_TIMEOUT_MS", env, true);
-    if (const char *env = std::getenv("MTC_SANDBOX"))
-        opt.sandbox = parseEnvCount("MTC_SANDBOX", env, true) != 0;
-    if (const char *env = std::getenv("MTC_SANDBOX_MEM_MB"))
-        opt.sandboxMemMb =
-            parseEnvCount("MTC_SANDBOX_MEM_MB", env, true);
-    if (const char *env = std::getenv("MTC_SANDBOX_CPU_S"))
-        opt.sandboxCpuS = parseEnvCount("MTC_SANDBOX_CPU_S", env, true);
-    if (const char *env = std::getenv("MTC_FABRIC_KEY_FILE")) {
-        if (*env == '\0')
-            throw ConfigError("MTC_FABRIC_KEY_FILE is set but empty; "
-                              "unset it or give a path");
-        opt.fabricKeyFile = env;
-    }
-    if (const char *env = std::getenv("MTC_AUDIT_RATE"))
-        opt.auditRate = parseEnvRate("MTC_AUDIT_RATE", env);
-    opt.netFault = netFaultFromEnv(opt.netFault);
+    inv.campaign = CampaignConfig::fromEnv(defaults);
+    CampaignConfig &c = inv.campaign;
+    bool sandbox = false;
+    unsigned distributed = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
+        const auto next = [&]() -> std::string {
             if (++i >= argc)
                 throw ConfigError("missing value after " + arg);
             return argv[i];
         };
-        if (arg == "--config")
-            opt.config = next();
-        else if (arg == "--tests")
-            opt.tests = static_cast<unsigned>(parseCount(arg, next()));
-        else if (arg == "--iterations")
-            opt.iterations = parseCount(arg, next());
-        else if (arg == "--seed")
-            opt.seed = parseCount(arg, next());
-        else if (arg == "--platform")
-            opt.platform = next();
-        else if (arg == "--model")
-            opt.model = parseModel(next());
+        if (cli::applyCampaignFlag(c, arg, next))
+            continue;
+        if (arg == "--config") {
+            inv.configName = next();
+        } else if (arg == "--platform") {
+            inv.platformName = next();
+            c.variant = parsePlatform(inv.platformName);
+        } else if (arg == "--model")
+            c.model = parseModel(next());
         else if (arg == "--bug")
-            opt.bug = next();
+            c.bug = parseBug(next());
         else if (arg == "--bug-prob")
-            opt.bugProb = parseRate(arg, next());
+            c.bugProbability = cli::parseRate(arg, next());
         else if (arg == "--cache-lines")
-            opt.cacheLines =
-                static_cast<std::uint32_t>(parseCount(arg, next()));
-        else if (arg == "--fault-bitflip")
-            opt.fault.bitFlipRate = parseRate(arg, next());
-        else if (arg == "--fault-torn")
-            opt.fault.tornStoreRate = parseRate(arg, next());
-        else if (arg == "--fault-truncate")
-            opt.fault.truncationRate = parseRate(arg, next());
-        else if (arg == "--fault-drop")
-            opt.fault.dropRate = parseRate(arg, next());
-        else if (arg == "--fault-dup")
-            opt.fault.duplicateRate = parseRate(arg, next());
-        else if (arg == "--fault-seed")
-            opt.fault.seed = parseCount(arg, next(), 0);
-        else if (arg == "--confirm-k")
-            opt.recovery.confirmationRuns =
-                static_cast<unsigned>(parseCount(arg, next()));
+            c.cacheLines =
+                static_cast<std::uint32_t>(cli::parseCount(arg, next()));
         else if (arg == "--crash-retries")
-            opt.recovery.crashRetries =
-                static_cast<unsigned>(parseCount(arg, next()));
+            c.recovery.crashRetries =
+                static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--threads")
-            opt.threads =
-                static_cast<unsigned>(parseCount(arg, next()));
+            c.threads = static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--batch")
-            opt.batch =
-                static_cast<std::uint32_t>(parseCount(arg, next(), 0));
+            c.batch = static_cast<std::uint32_t>(
+                cli::parseCount(arg, next(), 0));
         else if (arg == "--shard-size")
-            opt.shardSize =
-                static_cast<std::size_t>(parseCount(arg, next()));
+            c.shardSize =
+                static_cast<std::size_t>(cli::parseCount(arg, next()));
         else if (arg == "--no-stream-check")
-            opt.streamCheck = false;
-        else if (arg == "--stream-window")
-            opt.streamWindow =
-                static_cast<std::size_t>(parseCount(arg, next()));
-        else if (arg == "--journal") {
-            opt.journalPath = next();
-            if (opt.journalPath.empty())
-                throw ConfigError("--journal expects a non-empty path");
-        } else if (arg == "--resume")
-            opt.resume = true;
-        else if (arg == "--test-timeout-ms")
-            opt.testTimeoutMs = parseCount(arg, next());
+            c.streamCheck = false;
         else if (arg == "--error-budget")
-            opt.errorBudget =
-                static_cast<unsigned>(parseCount(arg, next()));
+            c.errorBudget =
+                static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--stall-after")
-            opt.stallAfterSteps = parseCount(arg, next());
+            c.stallAfterSteps = cli::parseCount(arg, next());
         else if (arg == "--sandbox")
-            opt.sandbox = true;
+            sandbox = true;
         else if (arg == "--sandbox-mem-mb")
-            opt.sandboxMemMb = parseCount(arg, next());
+            c.sandboxMemMb = cli::parseCount(arg, next());
         else if (arg == "--sandbox-cpu-s")
-            opt.sandboxCpuS = parseCount(arg, next());
+            c.sandboxCpuS = cli::parseCount(arg, next());
         else if (arg == "--distributed")
-            opt.distributed =
-                static_cast<unsigned>(parseCount(arg, next()));
-        else if (arg == "--fabric-key-file") {
-            opt.fabricKeyFile = next();
-            if (opt.fabricKeyFile.empty())
-                throw ConfigError(
-                    "--fabric-key-file expects a non-empty path");
-        } else if (arg == "--audit-rate") {
-            opt.auditRate = parseRate(arg, next());
-            if (!(opt.auditRate >= 0.0 && opt.auditRate <= 1.0))
-                throw ConfigError(
-                    "--audit-rate expects a fraction in [0, 1]");
-        }
+            distributed =
+                static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--die-after")
-            opt.dieAfterRuns = parseCount(arg, next());
+            c.dieAfterRuns = cli::parseCount(arg, next());
         else if (arg == "--leak-after")
-            opt.leakAfterRuns = parseCount(arg, next());
-        else if (arg == "--verbose")
-            opt.verbose = true;
+            c.leakAfterRuns = cli::parseCount(arg, next());
         else if (arg == "--profile")
-            opt.profile = true;
+            c.profile = true;
+        else if (arg == "--verbose")
+            inv.verbose = true;
         else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -492,130 +289,49 @@ parseArgs(int argc, char **argv)
             throw ConfigError("unknown option: " + arg);
         }
     }
-    if (opt.resume && opt.journalPath.empty())
-        throw ConfigError(
-            "--resume needs a journal (--journal PATH or MTC_JOURNAL)");
-    if ((opt.dieAfterRuns || opt.leakAfterRuns) &&
-        opt.platform == "mesi")
-        throw ConfigError("--die-after/--leak-after are operational-"
-                          "executor drills; pick a non-mesi platform");
-    if (opt.distributed && opt.sandbox)
+    if (distributed && sandbox)
         throw ConfigError("--distributed and --sandbox are mutually "
                           "exclusive execution modes");
-    if (opt.distributed && (opt.dieAfterRuns || opt.leakAfterRuns))
-        throw ConfigError(
-            "--die-after/--leak-after are sandbox containment drills; "
-            "a distributed worker would re-arm them on every "
-            "reassignment (use mtc_coordinator --drill-exit-after for "
-            "the fabric's death drill)");
-    return opt;
+    if (sandbox)
+        c.mode = ExecutionMode::Sandboxed;
+    if (distributed) {
+        if (c.dieAfterRuns || c.leakAfterRuns)
+            throw ConfigError(
+                "--die-after/--leak-after are sandbox containment "
+                "drills; a distributed worker would re-arm them on "
+                "every reassignment (use mtc_coordinator "
+                "--drill-exit-after for the fabric's death drill)");
+        c.mode = ExecutionMode::Distributed;
+        c.distWorkers = distributed;
+    }
+    return inv;
 }
 
-FlowConfig
-makeFlow(const Options &opt, const TestConfig &cfg)
+void
+printProfile(const PhaseBreakdown &profile)
 {
-    FlowConfig flow;
-    flow.iterations = opt.iterations;
-    flow.runConventional = false;
-    flow.fault = opt.fault;
-    flow.recovery = opt.recovery;
-    flow.threads = opt.threads;
-    flow.batch = opt.batch;
-    flow.shardSize = opt.shardSize;
-    flow.streamCheck = opt.streamCheck;
-    flow.streamWindow = opt.streamWindow;
-    flow.profile = opt.profile;
-
-    const BugKind bug = parseBug(opt.bug);
-    if (opt.platform == "mesi") {
-        CoherentConfig coh = gem5LikeConfig();
-        if (opt.model)
-            coh.model = *opt.model;
-        else
-            coh.model = defaultModel(cfg.isa);
-        coh.bug = bug;
-        coh.bugProbability = opt.bugProb;
-        coh.cacheLines = opt.cacheLines;
-        coh.stallAfterSteps = opt.stallAfterSteps;
-        flow.coherent = coh;
-        return flow;
+    std::cout << "\nhot-path profile (campaign totals):\n";
+    TablePrinter phases({"phase", "time (ms)", "share", "calls",
+                         "ms/call"});
+    const double sum_ms = static_cast<double>(profile.sumNs()) / 1e6;
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+        const Phase phase = static_cast<Phase>(p);
+        const double ms = static_cast<double>(profile.phaseNs(phase)) / 1e6;
+        const double share = sum_ms > 0.0 ? 100.0 * ms / sum_ms : 0.0;
+        const std::uint64_t calls = profile.phaseCount(phase);
+        phases.addRow(
+            {phaseName(phase), TablePrinter::fmt(ms, 3),
+             TablePrinter::fmt(share, 1) + "%", TablePrinter::fmt(calls),
+             calls ? TablePrinter::fmt(ms / static_cast<double>(calls), 6)
+                   : "-"});
     }
-
-    if (opt.platform == "uniform") {
-        flow.exec.policy = SchedulingPolicy::UniformRandom;
-        flow.exec.model = opt.model ? *opt.model : defaultModel(cfg.isa);
-        flow.exec.reorderWindow =
-            flow.exec.model == MemoryModel::SC ? 1 : 8;
-    } else if (opt.platform == "linux") {
-        flow.exec = osConfig(cfg.isa);
-        if (opt.model)
-            flow.exec.model = *opt.model;
-    } else if (opt.platform == "timed") {
-        flow.exec = bareMetalConfig(cfg.isa);
-        if (opt.model)
-            flow.exec.model = *opt.model;
-    } else {
-        throw ConfigError("unknown platform: " + opt.platform);
-    }
-    flow.exec.bug = bug;
-    flow.exec.bugProbability = opt.bugProb;
-    flow.exec.timing.cacheLines = opt.cacheLines;
-    flow.exec.stallAfterSteps = opt.stallAfterSteps;
-    flow.exec.dieAfterRuns = opt.dieAfterRuns;
-    flow.exec.leakAfterRuns = opt.leakAfterRuns;
-    return flow;
-}
-
-/**
- * Journal identity of a CLI campaign: every option that shapes the
- * deterministic result stream. Threads, the batch width, the streaming
- * pipeline knobs (--no-stream-check / --stream-window), the watchdog
- * deadline and the error budget are excluded on purpose — a resume may
- * legitimately use different operational knobs (more cores, a longer
- * deadline, the barrier pipeline for an A/B run).
- */
-CampaignJournal::Identity
-cliIdentity(const Options &opt, const TestConfig &cfg)
-{
-    ByteWriter w;
-    w.str(cfg.name());
-    w.u32(opt.tests);
-    w.u64(opt.iterations);
-    w.u64(opt.seed);
-    w.str(opt.platform);
-    w.u8(opt.model ? 1 : 0);
-    if (opt.model)
-        w.u8(static_cast<std::uint8_t>(*opt.model));
-    w.str(opt.bug);
-    w.f64(opt.bugProb);
-    w.u32(opt.cacheLines);
-    w.f64(opt.fault.bitFlipRate);
-    w.f64(opt.fault.tornStoreRate);
-    w.f64(opt.fault.truncationRate);
-    w.f64(opt.fault.dropRate);
-    w.f64(opt.fault.duplicateRate);
-    w.u64(opt.fault.seed);
-    w.u32(opt.recovery.confirmationRuns);
-    w.u64(opt.recovery.confirmationIterations);
-    w.u32(opt.recovery.crashRetries);
-    w.u64(opt.shardSize);
-    w.u64(opt.stallAfterSteps);
-    // The hard-failure drills change what the flow computes (a killed
-    // run is re-attempted under the crash budget), so they are part of
-    // the identity; the sandbox mode itself and its rlimit budgets are
-    // operational — a journal written in-process resumes sandboxed and
-    // vice versa.
-    w.u64(opt.dieAfterRuns);
-    w.u64(opt.leakAfterRuns);
-
-    CampaignJournal::Identity identity;
-    identity.digest = fnv1a64(w.bytes().data(), w.bytes().size());
-    identity.description = "config=" + cfg.name() +
-        " platform=" + opt.platform +
-        " tests=" + std::to_string(opt.tests) +
-        " iterations=" + std::to_string(opt.iterations) +
-        " seed=" + std::to_string(opt.seed);
-    return identity;
+    phases.print(std::cout);
+    std::cout << "phases account for "
+              << TablePrinter::fmt(100.0 * profile.coverage(), 1)
+              << "% of "
+              << TablePrinter::fmt(
+                     static_cast<double>(profile.totalNs) / 1e6, 3)
+              << " ms total flow wall-clock\n";
 }
 
 } // anonymous namespace
@@ -624,745 +340,71 @@ int
 main(int argc, char **argv)
 {
     try {
-        const Options opt = parseArgs(argc, argv);
-        const TestConfig cfg = parseConfigName(opt.config);
-
+        Invocation inv = parseArgs(argc, argv);
+        CampaignConfig &c = inv.campaign;
+        const TestConfig cfg = parseConfigName(inv.configName);
+        // The flow template validates the platform knobs, so a bad
+        // combination is a config error before anything runs.
+        const FlowConfig flow = flowTemplate(cfg, c);
         std::cout << "MTraceCheck campaign: " << cfg.name() << " on "
-                  << opt.platform << " platform, " << opt.tests
-                  << " tests x " << opt.iterations << " iterations\n";
+                  << inv.platformName << " platform, "
+                  << c.testsPerConfig << " tests x " << c.iterations
+                  << " iterations\n"
+                  << "checked model: "
+                  << modelName(flow.coherent ? flow.coherent->model
+                                             : flow.exec.model)
+                  << "\n\n";
 
-        FlowConfig flow_cfg = makeFlow(opt, cfg);
-        const MemoryModel model = flow_cfg.coherent
-            ? flow_cfg.coherent->model
-            : flow_cfg.exec.model;
-        std::cout << "checked model: " << modelName(model) << "\n\n";
+        FabricStats fabric;
+        if (c.mode == ExecutionMode::Distributed)
+            c.distStatsOut = &fabric;
+        const std::vector<ConfigSummary> summaries = runCampaign({cfg}, c);
+        const ConfigSummary &s = summaries.front();
 
-        TablePrinter table({"test", "unique sigs", "bad sigs",
-                            "assertions", "crash", "check (ms)"});
+        if (c.resume)
+            std::cout << "resume: " << s.replayedUnits
+                      << " completed tests replayed from "
+                      << c.journalPath << "\n";
+        if (inv.verbose)
+            printConfigTable(std::cout, summaries);
+        // The deterministic block: byte-identical to mtc_coordinator
+        // and mtc_check for the same campaign.
+        const CampaignTotals totals = printCampaignReport(
+            std::cout, std::cerr, "mtc_validate", summaries);
 
-        // Pre-derive every test's seeds from the canonical serial
-        // sequence (two draws per test, in test order — exactly the
-        // draws the pre-journal runner made), so a resumed campaign
-        // regenerates the very same programs for the units it still
-        // has to run.
-        Rng seeder(opt.seed);
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> seeds;
-        seeds.reserve(opt.tests);
-        for (unsigned t = 0; t < opt.tests; ++t) {
-            const std::uint64_t gen_seed = seeder();
-            const std::uint64_t flow_seed = seeder();
-            seeds.emplace_back(gen_seed, flow_seed);
-        }
-
-        std::unique_ptr<CampaignJournal> journal;
-        if (!opt.journalPath.empty()) {
-            journal = std::make_unique<CampaignJournal>(
-                opt.journalPath, cliIdentity(opt, cfg), opt.resume);
-            if (opt.resume) {
-                std::cout << "resume: " << journal->replayedUnits()
-                          << " completed tests replayed from "
-                          << opt.journalPath;
-                if (journal->droppedBytes())
-                    std::cout << " (" << journal->droppedBytes()
-                              << " torn tail bytes discarded)";
-                std::cout << "\n";
-            }
-        }
-        // Fork-before-threads: the sandboxed and distributed parents
-        // fork their fleets before any thread exists, so the watchdog
-        // lives only in the serial path (fleet children build their
-        // own post-fork).
-        std::unique_ptr<Watchdog> watchdog;
-        if (opt.testTimeoutMs && !opt.sandbox && !opt.distributed)
-            watchdog = std::make_unique<Watchdog>();
-
-        std::uint64_t total_unique = 0, total_bad = 0, total_assert = 0;
-        std::uint64_t quarantined = 0, transient = 0, confirmed = 0;
-        std::uint64_t injected_events = 0;
-        unsigned crashes = 0, flagged = 0;
-        unsigned hung_tests = 0, skipped_tests = 0;
-        unsigned error_events = 0;
-        bool tripped = false;
-        std::string witness, fault_note;
-        PhaseBreakdown profile;
-
-        // Phase 1 fills per-test slots (serial in-process, or fanned
-        // across the sandbox fleet); phase 2 folds the slots in test
-        // order so the printed summary is bit-identical either way.
-        struct CliOutcome
-        {
-            FlowResult r;
-            bool ran = false;
-            bool hung = false;
-        };
-        std::vector<CliOutcome> outcomes(opt.tests);
-
-        auto charge_breaker = [&](const FlowResult &r, bool hung) {
-            if (hung) {
-                ++error_events;
-                return;
-            }
-            error_events += static_cast<unsigned>(
-                (r.platformCrashes ? 1 : 0) +
-                r.fault.quarantinedCount());
-        };
-        auto check_replay_seeds = [&](const UnitRecord &replayed,
-                                      unsigned t) {
-            if (replayed.genSeed != seeds[t].first ||
-                replayed.flowSeed != seeds[t].second) {
-                throw ConfigError(
-                    "--resume: journal record for test " +
-                    std::to_string(t) +
-                    " carries different seeds than this campaign "
-                    "derives — the journal belongs to another run");
-            }
-        };
-        auto blank_record = [&](unsigned t) {
-            UnitRecord record;
-            record.configName = cfg.name();
-            record.testIndex = t;
-            record.genSeed = seeds[t].first;
-            record.flowSeed = seeds[t].second;
-            return record;
-        };
-
-        if (opt.distributed) {
-            // Loopback fabric: the coordinator binds an ephemeral
-            // localhost port, the fleet is forked from this (still
-            // single-threaded) process, and each child serves units
-            // over TCP exactly as an external mtc_worker would. A
-            // worker death is a fabric event, not a platform crash:
-            // the unit is reassigned and re-executed from the same
-            // pre-derived seeds, so nothing is charged and the
-            // summary stays bit-identical to the serial run.
-            FabricConfig fabric;
-            fabric.stallTimeoutMs = 60000; // dead fleet fails, not hangs
-            if (!opt.fabricKeyFile.empty())
-                fabric.key = loadFabricKey(opt.fabricKeyFile);
-            fabric.netFault = opt.netFault;
-            fabric.auditRate = opt.auditRate;
-            std::uint64_t audit_seed_src =
-                opt.seed ^ 0xa5a5a5a55a5a5a5aull;
-            fabric.auditSeed = splitMix64(audit_seed_src);
-            Coordinator coordinator(fabric, {});
-
-            const FlowConfig flow_base = flow_cfg;
-            // One unit, executed to an encoded UnitRecord. Shared by
-            // the forked workers and the parent-side audit arbiter so
-            // the two can never drift.
-            const auto execute_unit =
-                [&](unsigned t, std::unique_ptr<Watchdog> &wd)
-                -> std::vector<std::uint8_t> {
-                FlowConfig fc = flow_base;
-                fc.seed = seeds[t].second;
-                if (opt.testTimeoutMs && !wd)
-                    wd = std::make_unique<Watchdog>();
-                setCrashContext(
-                    cfg.name() + "#" + std::to_string(t),
-                    seeds[t].first);
-                UnitRecord record = blank_record(t);
-                CancellationToken token;
-                std::optional<Watchdog::Guard> deadline;
-                if (wd) {
-                    fc.cancel = &token;
-                    deadline.emplace(wd->watch(
-                        token,
-                        std::chrono::milliseconds(opt.testTimeoutMs)));
-                }
-                try {
-                    const TestProgram program =
-                        generateTest(cfg, seeds[t].first);
-                    ValidationFlow flow(fc);
-                    record.outcome.result = flow.runTest(program);
-                    record.outcome.ok = true;
-                    record.outcome.status = TestStatus::Ok;
-                } catch (const TestHungError &err) {
-                    record.outcome.ok = false;
-                    record.outcome.status = TestStatus::Hung;
-                    record.outcome.hungAttempts = 1;
-                    std::cerr << "mtc_validate: test " << t
-                              << " hung: " << err.what() << "\n";
-                }
-                clearCrashContext();
-                record.outcome.result.executions.clear();
-                return encodeUnitRecord(record);
-            };
-            auto fork_worker = [&](unsigned index) -> pid_t {
-                const pid_t pid = ::fork();
-                if (pid < 0)
-                    throw DistError(
-                        std::string("fabric fork failed: ") +
-                        std::strerror(errno));
-                if (pid > 0)
-                    return pid;
-#ifdef __linux__
-                ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-                if (::getppid() == 1)
-                    ::_exit(70); // parent raced away already
-#endif
-                // See Coordinator::listenerFd: an inherited copy of
-                // the listener would outlive its shutdown and queue
-                // late connects forever instead of refusing them.
-                ::close(coordinator.listenerFd());
-                try {
-                    WorkerClientConfig wc;
-                    wc.port = coordinator.port();
-                    wc.name = "loop-" + std::to_string(index);
-                    wc.heartbeatMs = 500;
-                    // Chaos drills kill sessions on purpose; see
-                    // forkCampaignWorker for the same budget split.
-                    wc.maxReconnects = opt.netFault.any() ? 25 : 3;
-                    wc.backoffBaseMs = 50;
-                    wc.backoffCapMs = 400;
-                    wc.key = fabric.key;
-                    wc.netFault = opt.netFault;
-                    std::unique_ptr<Watchdog> child_watchdog;
-                    runWorkerClient(
-                        wc,
-                        [](const std::vector<std::uint8_t> &) {
-                            // Single-config CLI campaign: the unit
-                            // request carries everything; the spec
-                            // blob is unused.
-                        },
-                        [&](std::uint64_t,
-                            const std::vector<std::uint8_t> &request)
-                            -> std::vector<std::uint8_t> {
-                            ByteReader reader(request);
-                            const unsigned t = reader.u32();
-                            return execute_unit(t, child_watchdog);
-                        });
-                    ::_exit(0);
-                } catch (...) {
-                    ::_exit(70);
-                }
-            };
-
-            std::vector<pid_t> fleet;
-            fleet.reserve(opt.distributed);
-            for (unsigned i = 0; i < opt.distributed; ++i)
-                fleet.push_back(fork_worker(i));
-            auto reap_fleet = [&fleet](bool kill_first) {
-                for (const pid_t pid : fleet) {
-                    if (kill_first)
-                        ::kill(pid, SIGKILL);
-                    try {
-                        waitChild(pid);
-                    } catch (const ProcessError &) {
-                    }
-                }
-                fleet.clear();
-            };
-
-            const Coordinator::RequestFn request_fn =
-                [&](std::size_t u)
-                -> std::optional<std::vector<std::uint8_t>> {
-                const unsigned t = static_cast<unsigned>(u);
-                if (opt.errorBudget &&
-                    error_events >= opt.errorBudget) {
-                    tripped = true;
-                    ++skipped_tests;
-                    return std::nullopt;
-                }
-                const UnitRecord *replayed =
-                    journal ? journal->find(cfg.name(), t) : nullptr;
-                if (replayed) {
-                    check_replay_seeds(*replayed, t);
-                    outcomes[t].r = replayed->outcome.result;
-                    outcomes[t].hung =
-                        replayed->outcome.status == TestStatus::Hung;
-                    outcomes[t].ran = true;
-                    charge_breaker(outcomes[t].r, outcomes[t].hung);
-                    return std::nullopt;
-                }
-                ByteWriter w;
-                w.u32(t);
-                return w.bytes();
-            };
-
-            const Coordinator::ResultFn result_fn =
-                [&](std::size_t u,
-                    const std::vector<std::uint8_t> &payload) {
-                const unsigned t = static_cast<unsigned>(u);
-                UnitRecord record = decodeUnitRecord(payload);
-                if (record.configName != cfg.name() ||
-                    record.testIndex != t ||
-                    record.genSeed != seeds[t].first ||
-                    record.flowSeed != seeds[t].second) {
-                    throw DistError(
-                        "fabric: worker response does not match "
-                        "leased test " + std::to_string(t));
-                }
-                outcomes[t].r = record.outcome.result;
-                outcomes[t].hung =
-                    record.outcome.status == TestStatus::Hung;
-                outcomes[t].ran = true;
-                if (journal)
-                    journal->append(record);
-                charge_breaker(outcomes[t].r, outcomes[t].hung);
-            };
-
-            // See runUnitsDistributed: generous by design — a
-            // reassignment costs one deterministic re-execution, an
-            // abandoned test costs a campaign hole.
-            constexpr unsigned kMaxUnitLosses = 8;
-            const Coordinator::LossFn loss_fn =
-                [&](std::size_t u, unsigned losses,
-                    const std::string &why) -> bool {
-                const unsigned t = static_cast<unsigned>(u);
-                if (losses <= kMaxUnitLosses) {
-                    std::cerr << "mtc_validate: test " << t
-                              << " lost its worker (" << why
-                              << "); reassigning\n";
-                    return true;
-                }
-                UnitRecord record = blank_record(t);
-                record.outcome.ok = false;
-                record.outcome.status = TestStatus::Failed;
-                record.outcome.result.fault.note =
-                    "fabric: abandoned after " +
-                    std::to_string(losses) + " worker losses (" + why +
-                    ")";
-                outcomes[t].r = record.outcome.result;
-                outcomes[t].hung = false;
-                outcomes[t].ran = true;
-                if (journal)
-                    journal->append(record);
-                charge_breaker(outcomes[t].r, false);
-                return false;
-            };
-
-            // Byzantine-audit hooks: digest compares are payload-
-            // level; the arbiter re-executes the test in this process
-            // (watchdog built lazily, after every fork above).
-            std::unique_ptr<Watchdog> arbiter_watchdog;
-            Coordinator::AuditHooks hooks;
-            hooks.digest =
-                [](std::size_t,
-                   const std::vector<std::uint8_t> &payload) {
-                return unitRecordDigest(payload);
-            };
-            hooks.arbiter =
-                [&](std::size_t u) -> std::vector<std::uint8_t> {
-                return execute_unit(static_cast<unsigned>(u),
-                                    arbiter_watchdog);
-            };
-
-            try {
-                coordinator.run(opt.tests, request_fn, result_fn,
-                                loss_fn, hooks);
-            } catch (...) {
-                reap_fleet(true);
-                throw;
-            }
-            reap_fleet(false);
-
-            const FabricStats &fs = coordinator.stats();
-            std::cout << "distributed: " << opt.distributed
-                      << " loopback workers, " << fs.workersLost
-                      << " workers lost, " << fs.unitsReassigned
-                      << " units reassigned\n";
-            if (opt.auditRate > 0.0) {
-                const ByzantineStats &b = fs.byzantine;
-                std::cout << "fabric byzantine: audits="
-                          << b.auditsScheduled
-                          << " passed=" << b.auditsPassed
-                          << " mismatches=" << b.auditMismatches
-                          << " skipped=" << b.auditsSkipped
-                          << " arbitrations=" << b.localArbitrations
-                          << " invalidated=" << b.resultsInvalidated
-                          << " quarantined=";
-                if (b.quarantined.empty()) {
-                    std::cout << "-";
-                } else {
-                    for (std::size_t i = 0; i < b.quarantined.size();
-                         ++i)
-                        std::cout << (i ? "," : "")
-                                  << b.quarantined[i];
-                }
-                std::cout << "\n";
-            }
-        } else if (opt.sandbox) {
-            SandboxConfig sandbox;
-            sandbox.workers = ThreadPool::resolveThreads(opt.threads);
-            sandbox.memLimitMb = opt.sandboxMemMb;
-            sandbox.cpuLimitS = opt.sandboxCpuS;
-            // One attempt per test at this level, so the documented
-            // 2x-timeout reclaim bound is simply 2 x the deadline.
-            if (opt.testTimeoutMs)
-                sandbox.hardDeadlineMs = 2 * opt.testTimeoutMs;
-
-            // Child-side watchdog, created lazily after the fork.
-            struct ChildRuntime
-            {
-                std::unique_ptr<Watchdog> watchdog;
-            };
-            auto child_runtime = std::make_shared<ChildRuntime>();
-            const FlowConfig flow_base = flow_cfg;
-
-            SandboxPool::WorkerFn worker_fn = [&, child_runtime](
-                const std::vector<std::uint8_t> &request,
-                const WorkerEnv &env) -> std::vector<std::uint8_t> {
-                ByteReader reader(request);
-                const unsigned t = reader.u32();
-
-                FlowConfig fc = flow_base;
-                fc.seed = seeds[t].second;
-                if (env.workerIndex != 0 || env.generation != 0) {
-                    // Hard-failure drills arm only the initial
-                    // fleet's first worker: one observable
-                    // containment event, then the retry completes on
-                    // an unarmed respawn.
-                    fc.exec.dieAfterRuns = 0;
-                    fc.exec.leakAfterRuns = 0;
-                }
-                if (opt.testTimeoutMs && !child_runtime->watchdog)
-                    child_runtime->watchdog =
-                        std::make_unique<Watchdog>();
-
-                setCrashContext(cfg.name() + "#" + std::to_string(t),
-                                seeds[t].first);
-                UnitRecord record = blank_record(t);
-                CancellationToken token;
-                std::optional<Watchdog::Guard> deadline;
-                if (child_runtime->watchdog) {
-                    fc.cancel = &token;
-                    deadline.emplace(child_runtime->watchdog->watch(
-                        token,
-                        std::chrono::milliseconds(opt.testTimeoutMs)));
-                }
-                try {
-                    const TestProgram program =
-                        generateTest(cfg, seeds[t].first);
-                    ValidationFlow flow(fc);
-                    record.outcome.result = flow.runTest(program);
-                    record.outcome.ok = true;
-                    record.outcome.status = TestStatus::Ok;
-                } catch (const TestHungError &err) {
-                    record.outcome.ok = false;
-                    record.outcome.status = TestStatus::Hung;
-                    record.outcome.hungAttempts = 1;
-                    std::cerr << "mtc_validate: test " << t
-                              << " hung: " << err.what() << "\n";
-                }
-                clearCrashContext();
-                record.outcome.result.executions.clear();
-                return encodeUnitRecord(record);
-            };
-
-            SandboxPool pool(sandbox, worker_fn);
-
-            std::vector<unsigned> worker_deaths(opt.tests, 0);
-            std::vector<std::string> death_notes(opt.tests);
-            auto note_death = [&](unsigned t, const std::string &what) {
-                if (!death_notes[t].empty())
-                    death_notes[t] += "; ";
-                death_notes[t] += what;
-            };
-
-            const SandboxPool::RequestFn request_fn =
-                [&](std::size_t u)
-                -> std::optional<std::vector<std::uint8_t>> {
-                const unsigned t = static_cast<unsigned>(u);
-                if (opt.errorBudget &&
-                    error_events >= opt.errorBudget) {
-                    tripped = true;
-                    ++skipped_tests;
-                    return std::nullopt;
-                }
-                const UnitRecord *replayed =
-                    journal ? journal->find(cfg.name(), t) : nullptr;
-                if (replayed) {
-                    check_replay_seeds(*replayed, t);
-                    outcomes[t].r = replayed->outcome.result;
-                    outcomes[t].hung =
-                        replayed->outcome.status == TestStatus::Hung;
-                    outcomes[t].ran = true;
-                    charge_breaker(outcomes[t].r, outcomes[t].hung);
-                    return std::nullopt;
-                }
-                ByteWriter w;
-                w.u32(t);
-                return w.bytes();
-            };
-
-            const SandboxPool::ResultFn result_fn =
-                [&](std::size_t u,
-                    const std::vector<std::uint8_t> &payload) {
-                const unsigned t = static_cast<unsigned>(u);
-                UnitRecord record = decodeUnitRecord(payload);
-                if (record.configName != cfg.name() ||
-                    record.testIndex != t ||
-                    record.genSeed != seeds[t].first ||
-                    record.flowSeed != seeds[t].second) {
-                    throw SandboxError(
-                        "sandbox: worker response does not match "
-                        "dispatched test " + std::to_string(t));
-                }
-                if (worker_deaths[t]) {
-                    // Deaths consumed on the way to this success are
-                    // charged exactly like in-flow platform crashes.
-                    FlowResult &r = record.outcome.result;
-                    r.platformCrashes += worker_deaths[t];
-                    r.fault.crashRetries += worker_deaths[t];
-                    if (!r.fault.note.empty())
-                        r.fault.note += "; ";
-                    r.fault.note += "sandbox: " + death_notes[t];
-                }
-                outcomes[t].r = record.outcome.result;
-                outcomes[t].hung =
-                    record.outcome.status == TestStatus::Hung;
-                outcomes[t].ran = true;
-                if (journal)
-                    journal->append(record);
-                charge_breaker(outcomes[t].r, outcomes[t].hung);
-            };
-
-            const SandboxPool::LossFn loss_fn =
-                [&](std::size_t u, const WorkerLoss &loss) -> bool {
-                const unsigned t = static_cast<unsigned>(u);
-                if (loss.kind == WorkerLossKind::HardKill) {
-                    std::cerr << "mtc_validate: test " << t
-                              << " hung non-cooperatively; worker "
-                                 "reclaimed by SIGKILL\n";
-                    UnitRecord record = blank_record(t);
-                    record.outcome.ok = false;
-                    record.outcome.status = TestStatus::Hung;
-                    record.outcome.hungAttempts = 1;
-                    record.outcome.result.fault.note =
-                        "sandbox: " + loss.describe();
-                    outcomes[t].r = record.outcome.result;
-                    outcomes[t].hung = true;
-                    outcomes[t].ran = true;
-                    if (journal)
-                        journal->append(record);
-                    charge_breaker(outcomes[t].r, true);
-                    return false;
-                }
-                ++worker_deaths[t];
-                note_death(t, loss.describe());
-                std::cerr << "mtc_validate: test " << t
-                          << " lost its worker (death "
-                          << worker_deaths[t] << "): "
-                          << loss.describe() << "\n";
-                if (worker_deaths[t] <= opt.recovery.crashRetries)
-                    return true; // retry on the respawned worker
-                UnitRecord record = blank_record(t);
-                record.outcome.ok = false;
-                record.outcome.status = TestStatus::Failed;
-                record.outcome.result.platformCrashes =
-                    worker_deaths[t];
-                record.outcome.result.fault.crashRetries =
-                    opt.recovery.crashRetries;
-                record.outcome.result.fault.note =
-                    "sandbox: " + death_notes[t];
-                outcomes[t].r = record.outcome.result;
-                outcomes[t].hung = false;
-                outcomes[t].ran = true;
-                if (journal)
-                    journal->append(record);
-                charge_breaker(outcomes[t].r, false);
-                return false;
-            };
-
-            pool.run(opt.tests, request_fn, result_fn, loss_fn);
-
-            std::uint64_t contained = 0;
-            for (unsigned deaths : worker_deaths)
-                contained += deaths;
-            std::cout << "sandbox: " << sandbox.workers
-                      << " workers, " << pool.respawns()
-                      << " worker respawns, " << contained
-                      << " contained worker crashes\n";
-        } else {
-            for (unsigned t = 0; t < opt.tests; ++t) {
-                // Circuit breaker: a platform this unhealthy will not
-                // get healthier on the remaining tests — stop burning
-                // time.
-                if (opt.errorBudget &&
-                    error_events >= opt.errorBudget) {
-                    tripped = true;
-                    skipped_tests = opt.tests - t;
-                    break;
-                }
-
-                FlowResult r;
-                bool hung = false;
-                const UnitRecord *replayed = journal
-                    ? journal->find(cfg.name(), t)
-                    : nullptr;
-                if (replayed) {
-                    check_replay_seeds(*replayed, t);
-                    r = replayed->outcome.result;
-                    hung = replayed->outcome.status == TestStatus::Hung;
-                } else {
-                    const TestProgram program =
-                        generateTest(cfg, seeds[t].first);
-                    flow_cfg.seed = seeds[t].second;
-                    CancellationToken token;
-                    std::optional<Watchdog::Guard> deadline;
-                    if (watchdog) {
-                        flow_cfg.cancel = &token;
-                        deadline.emplace(watchdog->watch(
-                            token,
-                            std::chrono::milliseconds(
-                                opt.testTimeoutMs)));
-                    }
-                    try {
-                        ValidationFlow flow(flow_cfg);
-                        r = flow.runTest(program);
-                    } catch (const TestHungError &err) {
-                        hung = true;
-                        std::cerr << "mtc_validate: test " << t
-                                  << " hung: " << err.what() << "\n";
-                    }
-                    flow_cfg.cancel = nullptr;
-                    if (journal) {
-                        UnitRecord record = blank_record(t);
-                        record.outcome.result = r;
-                        record.outcome.result.executions.clear();
-                        record.outcome.ok = !hung;
-                        record.outcome.status =
-                            hung ? TestStatus::Hung : TestStatus::Ok;
-                        if (hung)
-                            record.outcome.hungAttempts = 1;
-                        journal->append(record);
-                    }
-                }
-
-                outcomes[t].r = std::move(r);
-                outcomes[t].hung = hung;
-                outcomes[t].ran = true;
-                charge_breaker(outcomes[t].r, hung);
-            }
-        }
-
-        // Phase 2: fold the slots in test order (identical between
-        // modes and worker counts by construction).
-        for (unsigned t = 0; t < opt.tests; ++t) {
-            const CliOutcome &o = outcomes[t];
-            if (!o.ran)
-                continue;
-            if (o.hung) {
-                ++hung_tests;
-                continue;
-            }
-            const FlowResult &r = o.r;
-            total_unique += r.uniqueSignatures;
-            total_bad += r.violatingSignatures;
-            total_assert += r.assertionFailures;
-            quarantined += r.fault.quarantinedCount();
-            transient += r.fault.transientViolations;
-            confirmed += r.fault.confirmedViolations;
-            injected_events += r.fault.injected.totalEvents();
-            crashes += r.platformCrashes ? 1 : 0;
-            flagged += r.anyViolation() ? 1 : 0;
-            if (witness.empty() && !r.violationWitness.empty())
-                witness = r.violationWitness;
-            if (fault_note.empty() && !r.fault.note.empty())
-                fault_note = r.fault.note;
-            if (opt.profile)
-                profile.merge(r.profile);
-
-            if (opt.verbose) {
-                table.addRow({std::to_string(t),
-                              TablePrinter::fmt(r.uniqueSignatures),
-                              TablePrinter::fmt(r.violatingSignatures),
-                              TablePrinter::fmt(r.assertionFailures),
-                              r.platformCrashes ? "yes" : "no",
-                              TablePrinter::fmt(r.collectiveMs, 3)});
-            }
-        }
-
-        if (opt.verbose)
-            table.print(std::cout);
-
-        std::cout << "\ncampaign summary: " << flagged << "/"
-                  << opt.tests << " tests flagged, " << total_bad
-                  << " invalid signatures, " << total_assert
-                  << " runtime assertions, " << crashes
-                  << " platform crashes, " << total_unique
-                  << " unique interleavings total\n";
-
-        if (hung_tests) {
-            std::cout << "watchdog: " << hung_tests
-                      << " tests hung and were reclaimed (deadline "
-                      << opt.testTimeoutMs << " ms)\n";
-        }
-        if (tripped) {
-            std::cout << "circuit breaker: tripped after "
-                      << error_events << " error events (budget "
-                      << opt.errorBudget << "), " << skipped_tests
-                      << " tests skipped\n";
-        }
-
-        if (opt.fault.enabled()) {
-            std::cout << "fault summary: " << injected_events
-                      << " injected readout faults, " << quarantined
-                      << " signatures quarantined, " << confirmed
-                      << " violations confirmed, " << transient
+        if (s.platformCrashes)
+            std::cout << "platform crashes: " << s.platformCrashes
+                      << "\n";
+        if (c.fault.enabled()) {
+            std::cout << "fault summary: " << s.injected.totalEvents()
+                      << " injected readout faults, "
+                      << s.quarantinedSignatures
+                      << " signatures quarantined, "
+                      << s.confirmedViolations << " violations confirmed, "
+                      << s.transientViolations
                       << " reclassified as transient corruption\n";
-            if (!fault_note.empty())
-                std::cout << "note: " << fault_note << "\n";
         }
-
-        if (opt.profile) {
-            std::cout << "\nhot-path profile (campaign totals):\n";
-            TablePrinter phases(
-                {"phase", "time (ms)", "share", "calls", "ms/call"});
-            const double sum_ms =
-                static_cast<double>(profile.sumNs()) / 1e6;
-            for (std::size_t p = 0; p < kPhaseCount; ++p) {
-                const Phase phase = static_cast<Phase>(p);
-                const double ms =
-                    static_cast<double>(profile.phaseNs(phase)) / 1e6;
-                const double share =
-                    sum_ms > 0.0 ? 100.0 * ms / sum_ms : 0.0;
-                const std::uint64_t calls = profile.phaseCount(phase);
-                phases.addRow({phaseName(phase),
-                               TablePrinter::fmt(ms, 3),
-                               TablePrinter::fmt(share, 1) + "%",
-                               TablePrinter::fmt(calls),
-                               calls ? TablePrinter::fmt(
-                                           ms / static_cast<double>(
-                                                    calls),
-                                           6)
-                                     : "-"});
-            }
-            phases.print(std::cout);
-            std::cout << "phases account for "
-                      << TablePrinter::fmt(100.0 * profile.coverage(), 1)
-                      << "% of "
-                      << TablePrinter::fmt(
-                             static_cast<double>(profile.totalNs) / 1e6,
-                             3)
-                      << " ms total flow wall-clock\n";
+        if (c.mode == ExecutionMode::Distributed) {
+            std::cout << "distributed: " << c.distWorkers
+                      << " loopback workers, " << fabric.workersLost
+                      << " workers lost, " << fabric.unitsReassigned
+                      << " units reassigned\n";
+            if (c.distAuditRate > 0.0)
+                cli::printAuditReport(std::cout, fabric.byzantine);
         }
+        if (c.profile)
+            printProfile(s.profile);
+        if (!s.violationWitness.empty())
+            std::cout << "\nfirst violation witness:\n"
+                      << s.violationWitness;
 
-        if (!witness.empty())
-            std::cout << "\nfirst violation witness:\n" << witness;
-
-        // Distinct exit codes: a regression farm must tell "the DUT
-        // violated its MCM" from "the readout path glitched" from
-        // "the platform wedged" from "the campaign gave up early".
-        const bool violation = total_bad || total_assert;
-        if (violation)
-            return kExitViolation;
-        if (tripped)
-            return kExitBreakerTripped;
-        if (hung_tests)
-            return kExitHang;
-        if (crashes)
-            return kExitPlatformCrash;
-        if (quarantined || transient)
-            return kExitCorruptionOnly;
-        return kExitClean;
+        return campaignExitCode(totals);
     } catch (const Error &err) {
         std::cerr << "mtc_validate: " << err.what() << "\n";
         return kExitConfigError;
     } catch (const std::exception &err) {
-        // Malformed numeric arguments (std::stoul and friends) and
-        // other standard-library failures are configuration errors
-        // too, not crashes.
+        // Standard-library failures are configuration errors too,
+        // not crashes.
         std::cerr << "mtc_validate: " << err.what() << "\n";
         return kExitConfigError;
     }

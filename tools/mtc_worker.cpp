@@ -60,6 +60,7 @@
 #include "harness/dist_campaign.h"
 #include "support/error.h"
 #include "support/hmac.h"
+#include "cli_common.h"
 
 using namespace mtc;
 
@@ -99,20 +100,6 @@ usage()
         "            (rejected handshake / unreachable coordinator)\n";
 }
 
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t value = std::stoull(text, &pos);
-        if (pos == text.size() && text[0] != '-')
-            return value;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(flag + " expects an unsigned integer, got \"" +
-                      text + "\"");
-}
-
 struct Options
 {
     WorkerClientConfig client;
@@ -150,26 +137,26 @@ parseArgs(int argc, char **argv)
                     "\"");
             cfg.host = addr.substr(0, colon);
             cfg.port = static_cast<std::uint16_t>(
-                parseCount("--connect port", addr.substr(colon + 1)));
+                cli::parseCount("--connect port", addr.substr(colon + 1)));
             connected = true;
         } else if (arg == "--name")
             cfg.name = next();
         else if (arg == "--heartbeat-ms")
-            cfg.heartbeatMs = parseCount(arg, next());
+            cfg.heartbeatMs = cli::parseCount(arg, next());
         else if (arg == "--reconnects")
             cfg.maxReconnects =
-                static_cast<unsigned>(parseCount(arg, next()));
+                static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--backoff-ms")
-            cfg.backoffBaseMs = parseCount(arg, next());
+            cfg.backoffBaseMs = cli::parseCount(arg, next());
         else if (arg == "--backoff-cap-ms")
-            cfg.backoffCapMs = parseCount(arg, next());
+            cfg.backoffCapMs = cli::parseCount(arg, next());
         else if (arg == "--protocol-version")
             cfg.protocolVersion =
-                static_cast<std::uint32_t>(parseCount(arg, next()));
+                static_cast<std::uint32_t>(cli::parseCount(arg, next()));
         else if (arg == "--unit-delay-ms")
-            cfg.unitDelayMs = parseCount(arg, next());
+            cfg.unitDelayMs = cli::parseCount(arg, next());
         else if (arg == "--exit-after")
-            cfg.exitAfterUnits = parseCount(arg, next());
+            cfg.exitAfterUnits = cli::parseCount(arg, next());
         else if (arg == "--fabric-key-file") {
             key_file = next();
             if (key_file.empty())
