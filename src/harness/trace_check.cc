@@ -1,5 +1,6 @@
 #include "harness/trace_check.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "support/framing.h"
 #include "support/log.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "testgen/generator.h"
 
 namespace mtc
@@ -301,10 +303,10 @@ checkTrace(const TraceCheckOptions &options)
             continue;
         }
         // Operational checker knobs are the consumer's, not the
-        // producer's: results are bit-identical at any setting.
-        states[c].flow.threads = options.threads;
+        // producer's: results are bit-identical at any setting. Units
+        // are the parallel grain, so each flow stays serial inside.
+        states[c].flow.threads = 1;
         states[c].flow.streamCheck = options.streamCheck;
-        states[c].flow.streamWindow = options.streamWindow;
         states[c].flow.keepSignatures = false;
         states[c].flow.keepExecutions = false;
         states[c].flow.cancel = nullptr;
@@ -444,7 +446,13 @@ checkTrace(const TraceCheckOptions &options)
         }
     }
 
-    // --- Verify every unit in deterministic (config, test) order -----
+    // --- Verify units in parallel, commit in (config, test) order ----
+    // A unit's check reads only its own record, so units verify
+    // concurrently, one thread each. Everything that depends on order
+    // (fault list, counters, outcomes, checkpoint appends) is committed
+    // on this thread in unit order as the finished prefix grows: the
+    // report and the checkpoint bytes are the same at any thread count,
+    // and a killed check keeps its progress.
     std::vector<std::vector<TestOutcome>> outcomes(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         outcomes[c].resize(states[c].plans.size());
@@ -454,63 +462,108 @@ checkTrace(const TraceCheckOptions &options)
         }
     }
 
+    struct PendingUnit
+    {
+        std::size_t config = 0;
+        std::size_t test = 0;
+        const SlotRecord *record = nullptr;            ///< null: missing
+        const TraceCheckpointRecord *replay = nullptr; ///< checkpointed
+        bool verify = false;                 ///< an Ok record to re-check
+        std::optional<std::string> mismatch; ///< the re-check's verdict
+    };
+    std::vector<PendingUnit> units;
+    std::size_t units_to_verify = 0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
         for (std::size_t t = 0; t < slots[c].size(); ++t) {
-            if (!slots[c][t]) {
-                ++report.missingUnits;
-                fault(TraceFaultKind::Truncated,
-                      "unit " + std::to_string(t) + " of " +
-                          configs[c].name() +
-                          " is missing from the trace (torn or "
-                          "dropped record)");
-                continue;
+            PendingUnit unit;
+            unit.config = c;
+            unit.test = t;
+            if (slots[c][t]) {
+                unit.record = &*slots[c][t];
+                const auto ck = checkpoints.find(
+                    {configs[c].name(), static_cast<std::uint32_t>(t)});
+                if (ck != checkpoints.end() &&
+                    ck->second.payloadDigest == unit.record->bodyDigest)
+                    unit.replay = &ck->second;
+                unit.verify =
+                    !unit.replay && unit.record->unit.outcome.ok;
             }
-            const SlotRecord &sr = *slots[c][t];
+            units_to_verify += unit.verify ? 1 : 0;
+            units.push_back(std::move(unit));
+        }
+    }
 
-            const auto ck = checkpoints.find(
-                {configs[c].name(), static_cast<std::uint32_t>(t)});
-            if (ck != checkpoints.end() &&
-                ck->second.payloadDigest == sr.bodyDigest) {
-                ++report.unitsReplayed;
-                if (ck->second.quarantined) {
-                    ++report.quarantinedRecords;
-                    fault(checkpointNoteKind(ck->second.note),
-                          ck->second.note + " (checkpoint replay)");
-                } else {
-                    outcomes[c][t] = sr.unit.outcome;
-                }
-                continue;
-            }
-
-            TraceCheckpointRecord cp;
-            cp.configName = configs[c].name();
-            cp.testIndex = static_cast<std::uint32_t>(t);
-            cp.payloadDigest = sr.bodyDigest;
-
-            if (!sr.unit.outcome.ok) {
-                // Failed/Hung/Skipped outcomes carry no stream; the
-                // recorded verdict is the evidence, adopted verbatim.
-                outcomes[c][t] = sr.unit.outcome;
-                ++report.unitsAdopted;
-            } else if (const std::optional<std::string> mismatch =
-                           verifyOkUnit(configs[c], states[c].flow,
-                                        states[c].plans[t], sr.unit)) {
+    const auto verify = [&](std::size_t u) {
+        PendingUnit &unit = units[u];
+        if (unit.verify) {
+            unit.mismatch = verifyOkUnit(
+                configs[unit.config], states[unit.config].flow,
+                states[unit.config].plans[unit.test], unit.record->unit);
+        }
+    };
+    const auto commit = [&](std::size_t u) {
+        const PendingUnit &unit = units[u];
+        const std::size_t c = unit.config;
+        const std::size_t t = unit.test;
+        if (!unit.record) {
+            ++report.missingUnits;
+            fault(TraceFaultKind::Truncated,
+                  "unit " + std::to_string(t) + " of " +
+                      configs[c].name() +
+                      " is missing from the trace (torn or "
+                      "dropped record)");
+            return;
+        }
+        if (unit.replay) {
+            ++report.unitsReplayed;
+            if (unit.replay->quarantined) {
                 ++report.quarantinedRecords;
-                cp.quarantined = 1;
-                cp.note = checkpointNote(
-                    TraceFaultKind::FingerprintMismatch, *mismatch);
-                if (ckpt_writer)
-                    ckpt_writer->append(kTraceCheckpointTag,
-                                        encodeTraceCheckpoint(cp));
-                fault(TraceFaultKind::FingerprintMismatch, *mismatch);
-                continue;
+                fault(checkpointNoteKind(unit.replay->note),
+                      unit.replay->note + " (checkpoint replay)");
             } else {
-                outcomes[c][t] = sr.unit.outcome;
-                ++report.unitsVerified;
+                outcomes[c][t] = unit.record->unit.outcome;
             }
+            return;
+        }
+
+        TraceCheckpointRecord cp;
+        cp.configName = configs[c].name();
+        cp.testIndex = static_cast<std::uint32_t>(t);
+        cp.payloadDigest = unit.record->bodyDigest;
+
+        if (!unit.verify) {
+            // Failed/Hung/Skipped outcomes carry no stream; the
+            // recorded verdict is the evidence, adopted verbatim.
+            outcomes[c][t] = unit.record->unit.outcome;
+            ++report.unitsAdopted;
+        } else if (unit.mismatch) {
+            ++report.quarantinedRecords;
+            cp.quarantined = 1;
+            cp.note = checkpointNote(TraceFaultKind::FingerprintMismatch,
+                                     *unit.mismatch);
             if (ckpt_writer)
                 ckpt_writer->append(kTraceCheckpointTag,
                                     encodeTraceCheckpoint(cp));
+            fault(TraceFaultKind::FingerprintMismatch, *unit.mismatch);
+            return;
+        } else {
+            outcomes[c][t] = unit.record->unit.outcome;
+            ++report.unitsVerified;
+        }
+        if (ckpt_writer)
+            ckpt_writer->append(kTraceCheckpointTag,
+                                encodeTraceCheckpoint(cp));
+    };
+
+    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+        ThreadPool::resolveThreads(options.threads), units_to_verify));
+    if (workers > 1) {
+        ThreadPool pool(workers);
+        pool.parallelForOrdered(units.size(), verify, commit);
+    } else {
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            verify(u);
+            commit(u);
         }
     }
     if (ckpt_writer)

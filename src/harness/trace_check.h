@@ -56,11 +56,14 @@ struct TraceCheckOptions
      * never correctness. */
     bool resume = false;
 
-    /** Checker parallelism / pipeline knobs (FlowConfig semantics:
-     * results bit-identical at any setting). */
+    /** Units verified at once, one thread each (0 = one per hardware
+     * thread); reports and checkpoint bytes are identical at any
+     * value. */
     unsigned threads = 1;
+
+    /** Streaming pipeline (FlowConfig::streamCheck; results
+     * bit-identical either way). */
     bool streamCheck = true;
-    std::size_t streamWindow = 64;
 };
 
 /** One classified ingestion fault observed during a degraded check. */
@@ -107,6 +110,12 @@ struct TraceCheckReport
  * digest, checker stats, quarantine ledger, violation counts, static
  * metrics — against the recomputation. Any disagreement is a
  * FingerprintMismatch on that record.
+ *
+ * Units verify concurrently on @p options.threads workers, but faults,
+ * counters, outcomes and checkpoint records are committed in (config,
+ * test) order as the finished prefix grows, so the report, the
+ * checkpoint bytes and the error `strict` throws are the same at any
+ * thread count.
  *
  * @throws TraceError on fatal faults in any mode (unreadable file, no
  *         header, version skew, undecodable spec, header fingerprint

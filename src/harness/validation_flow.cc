@@ -487,9 +487,14 @@ ValidationFlow::runTest(const TestProgram &program)
     // the dispatch width is purely operational: batch B consumes the
     // same per-iteration streams as batch 1, lanes are post-processed
     // (encode, fault injection, accumulation) in iteration order, and
-    // every summary and digest is bit-identical at any width.
+    // every summary and digest is bit-identical at any width. The
+    // coherent platform has no lockstep engine: Platform's per-lane
+    // fallback would run a whole batch, each deadlocked lane to the
+    // progress watchdog, before the loop below sees the first crash,
+    // so it gets one lane per batch.
     Rng stream_master(cfg.seed);
-    const std::uint32_t batch_width = cfg.batch ? cfg.batch : 32;
+    const std::uint32_t batch_width =
+        cfg.coherent ? 1 : cfg.batch ? cfg.batch : 32;
     std::vector<Rng> lane_rngs;
     std::vector<LaneStatus> lane_status;
     lane_rngs.reserve(batch_width);

@@ -185,6 +185,8 @@ struct FlowConfig
      * Lockstep batch width of the test loop: how many iterations are
      * dispatched through the platform's batched engine at a time. 0
      * (the default) resolves to 32; 1 degenerates to scalar stepping.
+     * The coherent platform has no lockstep engine and always steps
+     * one lane at a time.
      * Each iteration's RNG stream is derived from one master stream
      * in iteration order, so the observed signature multiset, all
      * summaries, and the journal digest are bit-identical at every

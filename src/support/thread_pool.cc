@@ -2,11 +2,40 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <memory>
 
 namespace mtc
 {
+
+namespace
+{
+
+/** Each chunk task of a parallel loop carries a completion guard
+ * instead of reporting done inline: whether the task runs, or
+ * stop(false) discards it from the queue, or submit() drops it because
+ * the pool is already stopping, the guard's destruction is what
+ * decrements `pending` — so the caller can never deadlock waiting on a
+ * chunk the shutdown threw away. */
+template <typename Shared>
+struct ChunkGuard
+{
+    std::shared_ptr<Shared> s;
+
+    explicit ChunkGuard(std::shared_ptr<Shared> s_arg)
+        : s(std::move(s_arg))
+    {}
+
+    ~ChunkGuard()
+    {
+        std::lock_guard<std::mutex> lock(s->doneMtx);
+        if (--s->pending == 0)
+            s->done.notify_all();
+    }
+};
+
+} // anonymous namespace
 
 unsigned
 ThreadPool::resolveThreads(unsigned requested)
@@ -124,30 +153,8 @@ ThreadPool::parallelFor(std::size_t count,
         std::min<std::size_t>(count, workers.size());
     shared->pending = chunks;
 
-    // Each chunk task carries a completion guard instead of reporting
-    // done inline: whether the task runs, or stop(false) discards it
-    // from the queue, or submit() drops it because the pool is already
-    // stopping, the guard's destruction is what decrements `pending` —
-    // so this caller can never deadlock waiting on a chunk the
-    // shutdown threw away.
-    struct ChunkGuard
-    {
-        std::shared_ptr<Shared> s;
-
-        explicit ChunkGuard(std::shared_ptr<Shared> s_arg)
-            : s(std::move(s_arg))
-        {}
-
-        ~ChunkGuard()
-        {
-            std::lock_guard<std::mutex> lock(s->doneMtx);
-            if (--s->pending == 0)
-                s->done.notify_all();
-        }
-    };
-
     for (std::size_t c = 0; c < chunks; ++c) {
-        auto done_guard = std::make_shared<ChunkGuard>(shared);
+        auto done_guard = std::make_shared<ChunkGuard<Shared>>(shared);
         submit([shared, done_guard] {
             for (;;) {
                 const std::size_t i =
@@ -169,6 +176,90 @@ ThreadPool::parallelFor(std::size_t count,
     shared->done.wait(lock, [&] { return shared->pending == 0; });
     if (shared->firstError)
         std::rethrow_exception(shared->firstError);
+}
+
+void
+ThreadPool::parallelForOrdered(
+    std::size_t count, const std::function<void(std::size_t)> &body,
+    const std::function<void(std::size_t)> &commit)
+{
+    if (!count)
+        return;
+
+    struct Shared
+    {
+        std::atomic<std::size_t> next{0};
+        std::atomic<bool> halt{false}; ///< commits ended: start no body
+        std::size_t count = 0;
+        const std::function<void(std::size_t)> *body = nullptr;
+
+        std::mutex doneMtx;
+        std::condition_variable done;  ///< a body or a chunk finished
+        std::size_t pending = 0;       ///< chunk tasks not yet destroyed
+        std::vector<std::uint8_t> finished;     ///< per index
+        std::vector<std::exception_ptr> errors; ///< per index
+    };
+    auto shared = std::make_shared<Shared>();
+    shared->count = count;
+    shared->body = &body;
+    shared->finished.assign(count, 0);
+    shared->errors.resize(count);
+
+    const std::size_t chunks =
+        std::min<std::size_t>(count, workers.size());
+    shared->pending = chunks;
+    for (std::size_t c = 0; c < chunks; ++c) {
+        auto done_guard = std::make_shared<ChunkGuard<Shared>>(shared);
+        submit([shared, done_guard] {
+            while (!shared->halt.load(std::memory_order_relaxed)) {
+                const std::size_t i =
+                    shared->next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= shared->count)
+                    break;
+                std::exception_ptr error;
+                try {
+                    (*shared->body)(i);
+                } catch (...) {
+                    error = std::current_exception();
+                }
+                {
+                    std::lock_guard<std::mutex> lock(shared->doneMtx);
+                    shared->errors[i] = std::move(error);
+                    shared->finished[i] = 1;
+                }
+                shared->done.notify_all();
+            }
+        });
+    }
+
+    std::exception_ptr failure;
+    for (std::size_t i = 0; i < count && !failure; ++i) {
+        std::exception_ptr error;
+        {
+            std::unique_lock<std::mutex> lock(shared->doneMtx);
+            shared->done.wait(lock, [&] {
+                return shared->finished[i] || shared->pending == 0;
+            });
+            if (!shared->finished[i])
+                break; // dropped by stop(false)
+            error = shared->errors[i];
+        }
+        try {
+            if (error)
+                std::rethrow_exception(error);
+            commit(i);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    }
+
+    // Bodies reference the caller's state: every chunk must be gone
+    // before this frame is.
+    shared->halt.store(true, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(shared->doneMtx);
+    shared->done.wait(lock, [&] { return shared->pending == 0; });
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 } // namespace mtc

@@ -3,7 +3,8 @@
  * Fixed-size worker pool for the parallel validation engine.
  *
  * Post-silicon campaigns are embarrassingly parallel across tests (the
- * paper runs one test thread per core), and inside one test both the
+ * paper runs one test thread per core), the offline checker verifies
+ * their recorded units the same way, and inside one test both the
  * decode/observed-edge loop and the sharded collective checker fan out
  * over independent slices. All of that parallelism flows through this
  * one pool type so the engine has a single, TSan-clean place where
@@ -92,6 +93,24 @@ class ThreadPool
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &body);
+
+    /**
+     * Run body(0..count-1) across the workers, handing indices out in
+     * ascending order, and call commit(i) on the calling thread in
+     * index order, each as soon as body(0..i) have finished. Effects
+     * that depend on order (appends, counters, fault lists) belong in
+     * commit, which then leaves them exactly as a serial
+     * `body(i); commit(i);` loop would at any worker count; a body
+     * must not touch what commit writes. An exception from body(i) is
+     * rethrown at slot i, after commit(0..i-1); one from commit(i)
+     * propagates as is. Either way, once the failure surfaces no body
+     * starts, bodies in flight finish, and then the exception
+     * propagates. If stop(false) drops indices, commits end before
+     * the first one.
+     */
+    void parallelForOrdered(std::size_t count,
+                            const std::function<void(std::size_t)> &body,
+                            const std::function<void(std::size_t)> &commit);
 
     /** Map a user-facing thread knob to a worker count: 0 means "use
      * the hardware", anything else is taken literally. */

@@ -70,10 +70,9 @@ struct ScalarOutcome
 
 /** Reference results: one scalar run per lane seed, in lane order. */
 std::vector<ScalarOutcome>
-scalarReference(const TestProgram &program, const ExecutorConfig &exec,
+scalarReference(const TestProgram &program, Platform &platform,
                 const std::vector<std::uint64_t> &seeds)
 {
-    OperationalExecutor platform(exec);
     std::vector<ScalarOutcome> outcomes(seeds.size());
     RunArena arena;
     for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -88,6 +87,14 @@ scalarReference(const TestProgram &program, const ExecutorConfig &exec,
         outcomes[i].nextDraw = rng();
     }
     return outcomes;
+}
+
+std::vector<ScalarOutcome>
+scalarReference(const TestProgram &program, const ExecutorConfig &exec,
+                const std::vector<std::uint64_t> &seeds)
+{
+    OperationalExecutor platform(exec);
+    return scalarReference(program, platform, seeds);
 }
 
 /** Lane seeds exactly as the flow derives them: one master draw per
@@ -409,25 +416,66 @@ TEST(BatchFlow, InvariantUnderFaultInjectionAndConfirmation)
 
 TEST(BatchFlow, CoherentPlatformBatchesThroughGenericFallback)
 {
-    // The message-level platform has no lockstep engine; its batches
-    // run through Platform's sequential per-lane fallback, which must
-    // be just as bit-identical.
+    // The message-level platform has no lockstep engine, and the flow
+    // dispatches it one lane at a time; its batches run through
+    // Platform's sequential per-lane fallback, which must be just as
+    // bit-identical to scalar runs — crashed lanes included.
     const TestProgram program =
         generateTest(parseConfigName("x86-2-50-32"), 19);
-    FlowConfig base;
-    base.iterations = 64;
-    base.seed = 21;
-    base.coherent = gem5LikeConfig();
-    base.runConventional = false;
+    CoherentConfig racy = gem5LikeConfig();
+    racy.bug = BugKind::PutxGetxRace;
+    racy.bugProbability = 0.04;
+    racy.cacheLines = 2;
+    const struct
+    {
+        const char *label;
+        CoherentConfig config;
+    } cases[] = {{"clean", gem5LikeConfig()}, {"putx race", racy}};
 
-    FlowConfig scalar_cfg = base;
-    scalar_cfg.batch = 1;
-    const FlowResult scalar = ValidationFlow(scalar_cfg).runTest(program);
-    FlowConfig batched_cfg = base;
-    batched_cfg.batch = 8;
-    const FlowResult batched =
-        ValidationFlow(batched_cfg).runTest(program);
-    expectFlowsIdentical(scalar, batched, "coherent batch 8");
+    const std::uint32_t lanes = 8;
+    const std::vector<std::uint64_t> seeds = laneSeeds(21, lanes);
+    for (const auto &c : cases) {
+        CoherentExecutor reference(c.config);
+        const std::vector<ScalarOutcome> scalar =
+            scalarReference(program, reference, seeds);
+        std::size_t crashed = 0;
+        for (const ScalarOutcome &o : scalar)
+            crashed += o.crashed ? 1 : 0;
+        if (c.config.bug != BugKind::None) {
+            ASSERT_GT(crashed, 0u) << "no lane deadlocked at this seed";
+            ASSERT_LT(crashed, static_cast<std::size_t>(lanes))
+                << "every lane deadlocked at this seed";
+        }
+
+        CoherentExecutor platform(c.config);
+        std::vector<Rng> rngs;
+        for (std::uint64_t seed : seeds)
+            rngs.emplace_back(seed);
+        BatchRunArena batch;
+        std::vector<LaneStatus> status(lanes);
+        platform.runBatchInto(program, rngs.data(), lanes, batch,
+                              nullptr, status.data());
+
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+            if (scalar[l].crashed) {
+                EXPECT_EQ(status[l], LaneStatus::Crashed)
+                    << c.label << " lane " << l;
+                EXPECT_EQ(batch.crashMessage(l), scalar[l].crashWhat)
+                    << c.label << " lane " << l;
+                continue;
+            }
+            ASSERT_EQ(status[l], LaneStatus::Completed)
+                << c.label << " lane " << l;
+            EXPECT_EQ(batch.executions[l].loadValues,
+                      scalar[l].execution.loadValues)
+                << c.label << " lane " << l;
+            EXPECT_EQ(batch.executions[l].coherenceOrder,
+                      scalar[l].execution.coherenceOrder)
+                << c.label << " lane " << l;
+            EXPECT_EQ(rngs[l](), scalar[l].nextDraw)
+                << c.label << " lane " << l;
+        }
+    }
 }
 
 // --- Campaign-level invariance ----------------------------------------

@@ -7,7 +7,7 @@
  * collective checker must return exactly the unsharded verdicts while
  * paying only the predicted extra complete sort per shard. Plus unit
  * coverage for the ThreadPool itself (exception capture, bounded
- * queue, index coverage).
+ * queue, index coverage, in-order commits).
  */
 
 #include <gtest/gtest.h>
@@ -293,6 +293,60 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstException)
     }
     // Every non-throwing index still ran (slots stay populated).
     EXPECT_EQ(completed.load(), 99);
+}
+
+TEST(ThreadPoolTest, ParallelForOrderedCommitsInIndexOrder)
+{
+    ThreadPool pool(4);
+    std::vector<std::size_t> squares(200, 0);
+    std::vector<std::size_t> committed;
+    pool.parallelForOrdered(
+        squares.size(),
+        [&](std::size_t i) {
+            // Some bodies finish after later ones, so completion order
+            // is not index order.
+            if (i % 7 == 0)
+                std::this_thread::yield();
+            squares[i] = i * i;
+        },
+        [&](std::size_t i) {
+            EXPECT_EQ(squares[i], i * i); // its body has finished
+            committed.push_back(i);
+        });
+    ASSERT_EQ(committed.size(), squares.size());
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        EXPECT_EQ(committed[i], i);
+}
+
+TEST(ThreadPoolTest, ParallelForOrderedFailsAtTheFailingSlot)
+{
+    ThreadPool pool(3);
+    for (const bool in_body : {true, false}) {
+        std::vector<std::size_t> committed;
+        try {
+            pool.parallelForOrdered(
+                1000,
+                [&](std::size_t i) {
+                    if (in_body && i == 40)
+                        throw std::runtime_error("body 40");
+                },
+                [&](std::size_t i) {
+                    if (!in_body && i == 40)
+                        throw std::runtime_error("commit 40");
+                    committed.push_back(i);
+                });
+            FAIL() << "exception was swallowed";
+        } catch (const std::runtime_error &err) {
+            EXPECT_STREQ(err.what(), in_body ? "body 40" : "commit 40");
+        }
+        // Exactly the slots before the failure committed.
+        ASSERT_EQ(committed.size(), 40u);
+        EXPECT_EQ(committed.back(), 39u);
+    }
+    // The pool stays usable after a failed ordered loop.
+    std::atomic<int> ran{0};
+    pool.parallelFor(8, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolTest, BoundedQueueSubmitDoesNotDeadlock)

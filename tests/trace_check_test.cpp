@@ -4,7 +4,8 @@
  * modes and checker thread counts, torn-trace recovery to the longest
  * intact prefix at every byte offset, checkpointed resume of a killed
  * check, and classification of tampered, duplicated, and foreign
- * records.
+ * records — each also at 4 threads, where units verify concurrently
+ * and must commit the same faults, counters and checkpoint bytes.
  *
  * "Byte-identical" is asserted on the exact bytes the report layer
  * folds into the printed digests (campaign_report.h's foldSummary), so
@@ -16,8 +17,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/trace_format.h"
@@ -75,6 +79,59 @@ expectReportIdentical(const std::vector<ConfigSummary> &inline_run,
             << what << ": config " << inline_run[i].cfg.name();
 }
 
+/** Two checks agree on everything they report: the fault list (kind,
+ * detail, order), every counter, and the summary bytes. */
+void
+expectSameReport(const TraceCheckReport &a, const TraceCheckReport &b,
+                 const std::string &what)
+{
+    ASSERT_EQ(a.faults.size(), b.faults.size()) << what;
+    for (std::size_t i = 0; i < a.faults.size(); ++i) {
+        EXPECT_EQ(a.faults[i].kind, b.faults[i].kind)
+            << what << ": fault " << i;
+        EXPECT_EQ(a.faults[i].detail, b.faults[i].detail)
+            << what << ": fault " << i;
+    }
+    EXPECT_EQ(a.identityDescription, b.identityDescription) << what;
+    EXPECT_EQ(a.unitsInTrace, b.unitsInTrace) << what;
+    EXPECT_EQ(a.unitsVerified, b.unitsVerified) << what;
+    EXPECT_EQ(a.unitsAdopted, b.unitsAdopted) << what;
+    EXPECT_EQ(a.unitsReplayed, b.unitsReplayed) << what;
+    EXPECT_EQ(a.quarantinedRecords, b.quarantinedRecords) << what;
+    EXPECT_EQ(a.missingUnits, b.missingUnits) << what;
+    EXPECT_EQ(a.duplicateUnits, b.duplicateUnits) << what;
+    EXPECT_EQ(a.tornBytesDropped, b.tornBytesDropped) << what;
+    EXPECT_EQ(a.unknownRecordsSkipped, b.unknownRecordsSkipped) << what;
+    expectReportIdentical(a.summaries, b.summaries, what);
+}
+
+TraceCheckReport
+checkAt(TraceCheckOptions opt, unsigned threads)
+{
+    opt.threads = threads;
+    return checkTrace(opt);
+}
+
+/** The TraceError a check throws, as (kind, message); "" if none. */
+std::pair<TraceFaultKind, std::string>
+traceErrorOf(const TraceCheckOptions &opt)
+{
+    try {
+        (void)checkTrace(opt);
+    } catch (const TraceError &err) {
+        return {err.kind(), err.what()};
+    }
+    return {TraceFaultKind::Corrupt, ""};
+}
+
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 std::vector<TestConfig>
 smallConfigs()
 {
@@ -128,7 +185,7 @@ TEST(TraceCheck, DumpCheckByteIdenticalAcrossModesAndThreads)
         expectReportIdentical(inline_run, produced,
                               std::string(m.name) + " producer");
 
-        for (const unsigned threads : {1u, 2u, 8u}) {
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
             TraceCheckOptions opt;
             opt.tracePath = trace.path();
             opt.threads = threads;
@@ -157,9 +214,12 @@ TEST(TraceCheck, DumpCheckByteIdenticalAcrossModesAndThreads)
 
 TEST(TraceCheck, TornTraceCheckedToLongestPrefixAtEveryByteOffset)
 {
+    // Three units, so that a cut in the last one leaves two intact
+    // units for the 4-thread check to verify concurrently.
+    constexpr std::size_t kUnits = 3;
     CampaignConfig campaign;
     campaign.iterations = 32;
-    campaign.testsPerConfig = 2;
+    campaign.testsPerConfig = kUnits;
     campaign.runConventional = false;
 
     TempFile master("torn_master");
@@ -168,7 +228,7 @@ TEST(TraceCheck, TornTraceCheckedToLongestPrefixAtEveryByteOffset)
         runCampaign({parseConfigName("x86-2-50-32")}, campaign);
 
     const JournalRecovery layout = readJournal(master.path());
-    ASSERT_EQ(layout.records.size(), 3u); // header + 2 units
+    ASSERT_EQ(layout.records.size(), 1 + kUnits); // header + units
     std::vector<std::uint64_t> ends;
     std::uint64_t at = 0;
     for (const auto &rec : layout.records) {
@@ -188,23 +248,25 @@ TEST(TraceCheck, TornTraceCheckedToLongestPrefixAtEveryByteOffset)
         opt.tracePath = torn.path();
         if (cut < ends[0]) {
             // No intact header: fatal in any mode, and classified.
-            try {
-                (void)checkTrace(opt);
-                FAIL() << "headerless prefix checked at cut " << cut;
-            } catch (const TraceError &err) {
-                EXPECT_EQ(err.kind(), TraceFaultKind::Truncated)
-                    << "cut at " << cut;
-            }
+            const auto serial = traceErrorOf(opt);
+            EXPECT_FALSE(serial.second.empty())
+                << "headerless prefix checked at cut " << cut;
+            EXPECT_EQ(serial.first, TraceFaultKind::Truncated)
+                << "cut at " << cut;
+            opt.threads = 4;
+            EXPECT_EQ(traceErrorOf(opt), serial) << "cut at " << cut;
             continue;
         }
-        const std::size_t intact =
-            cut >= ends[2] ? 2 : cut >= ends[1] ? 1 : 0;
+        std::size_t intact = 0;
+        while (intact < kUnits && cut >= ends[intact + 1])
+            ++intact;
         const TraceCheckReport report = checkTrace(opt);
         EXPECT_EQ(report.unitsVerified, intact) << "cut at " << cut;
-        EXPECT_EQ(report.missingUnits, 2 - intact) << "cut at " << cut;
+        EXPECT_EQ(report.missingUnits, kUnits - intact)
+            << "cut at " << cut;
         EXPECT_EQ(report.anyFault(), cut != total) << "cut at " << cut;
         ASSERT_EQ(report.summaries.size(), 1u);
-        if (intact == 2) {
+        if (intact == kUnits) {
             expectReportIdentical(inline_run, report.summaries,
                                   "cut at " + std::to_string(cut));
         } else {
@@ -212,16 +274,21 @@ TEST(TraceCheck, TornTraceCheckedToLongestPrefixAtEveryByteOffset)
             // torn remainder counts as skipped — never as clean.
             EXPECT_EQ(report.summaries[0].tests, intact)
                 << "cut at " << cut;
-            EXPECT_EQ(report.summaries[0].skippedTests, 2 - intact)
+            EXPECT_EQ(report.summaries[0].skippedTests, kUnits - intact)
                 << "cut at " << cut;
         }
+        expectSameReport(report, checkAt(opt, 4),
+                         "threads 4, cut at " + std::to_string(cut));
 
-        // Strict mode refuses the same torn prefix outright.
+        // Strict mode refuses the same torn prefix outright, with the
+        // same error at any thread count.
         if (cut != total) {
             TraceCheckOptions strict = opt;
             strict.strict = true;
-            EXPECT_THROW((void)checkTrace(strict), TraceError)
-                << "cut at " << cut;
+            const auto serial = traceErrorOf(strict);
+            EXPECT_FALSE(serial.second.empty()) << "cut at " << cut;
+            strict.threads = 4;
+            EXPECT_EQ(traceErrorOf(strict), serial) << "cut at " << cut;
         }
     }
 }
@@ -238,7 +305,7 @@ TEST(TraceCheck, ResumeReplaysCheckpointedVerdictsBitIdentically)
     producer.dumpTracePath = trace.path();
     const auto inline_run = runCampaign(smallConfigs(), producer);
 
-    TempFile ckpt("resume_ckpt");
+    TempFile ckpt("resume_ckpt"), wide_ckpt("resume_ckpt_t4");
     TraceCheckOptions opt;
     opt.tracePath = trace.path();
     opt.checkpointPath = ckpt.path();
@@ -246,6 +313,13 @@ TEST(TraceCheck, ResumeReplaysCheckpointedVerdictsBitIdentically)
     EXPECT_EQ(first.unitsVerified, 4u);
     EXPECT_EQ(first.unitsReplayed, 0u);
     expectReportIdentical(inline_run, first.summaries, "first pass");
+
+    // Units verified concurrently still append in unit order.
+    TraceCheckOptions wide = opt;
+    wide.threads = 4;
+    wide.checkpointPath = wide_ckpt.path();
+    expectSameReport(first, checkTrace(wide), "first pass, threads 4");
+    EXPECT_EQ(fileBytes(ckpt.path()), fileBytes(wide_ckpt.path()));
 
     // A completed checkpoint replays every verdict.
     opt.resume = true;
@@ -260,11 +334,16 @@ TEST(TraceCheck, ResumeReplaysCheckpointedVerdictsBitIdentically)
     const std::uint64_t torn_size =
         fs::file_size(ckpt.path()) * 6 / 10 + 3;
     fs::resize_file(ckpt.path(), torn_size);
+    fs::copy_file(ckpt.path(), wide_ckpt.path(),
+                  fs::copy_options::overwrite_existing);
     const TraceCheckReport resumed = checkTrace(opt);
     EXPECT_GT(resumed.unitsReplayed, 0u);
     EXPECT_GT(resumed.unitsVerified, 0u);
     EXPECT_EQ(resumed.unitsReplayed + resumed.unitsVerified, 4u);
     expectReportIdentical(inline_run, resumed.summaries, "torn resume");
+    wide.resume = true;
+    expectSameReport(resumed, checkTrace(wide), "torn resume, threads 4");
+    EXPECT_EQ(fileBytes(ckpt.path()), fileBytes(wide_ckpt.path()));
 
     // A checkpoint for another trace is rebuilt, not trusted.
     TempFile other_trace("resume_other");
@@ -299,11 +378,12 @@ rewriteFrames(const std::string &path,
 }
 
 std::vector<std::vector<std::uint8_t>>
-dumpSmallTrace(const std::string &path, std::uint64_t seed = 2017)
+dumpSmallTrace(const std::string &path, std::uint64_t seed = 2017,
+               unsigned tests = 2)
 {
     CampaignConfig campaign;
     campaign.iterations = 32;
-    campaign.testsPerConfig = 2;
+    campaign.testsPerConfig = tests;
     campaign.runConventional = false;
     campaign.seed = seed;
     campaign.dumpTracePath = path;
@@ -314,8 +394,8 @@ dumpSmallTrace(const std::string &path, std::uint64_t seed = 2017)
 TEST(TraceCheck, TamperedUnitQuarantinedAsFingerprintMismatch)
 {
     TempFile trace("tamper");
-    auto frames = dumpSmallTrace(trace.path());
-    ASSERT_EQ(frames.size(), 3u);
+    auto frames = dumpSmallTrace(trace.path(), 2017, 4);
+    ASSERT_EQ(frames.size(), 5u);
 
     // Re-frame unit 1 with a plausible lie: same stream, wrong count.
     // The frame checksum is valid again after re-framing, so only the
@@ -332,23 +412,32 @@ TEST(TraceCheck, TamperedUnitQuarantinedAsFingerprintMismatch)
     TraceCheckOptions opt;
     opt.tracePath = trace.path();
     const TraceCheckReport report = checkTrace(opt);
-    EXPECT_EQ(report.unitsVerified, 1u);
+    EXPECT_EQ(report.unitsVerified, 3u);
     EXPECT_EQ(report.quarantinedRecords, 1u);
     ASSERT_EQ(report.faults.size(), 1u);
     EXPECT_EQ(report.faults[0].kind,
               TraceFaultKind::FingerprintMismatch);
     ASSERT_EQ(report.summaries.size(), 1u);
-    EXPECT_EQ(report.summaries[0].tests, 1u);
+    EXPECT_EQ(report.summaries[0].tests, 3u);
     EXPECT_EQ(report.summaries[0].skippedTests, 1u);
+    expectSameReport(report, checkAt(opt, 4), "threads 4");
 
+    // Strict mode stops at the tampered unit, in the middle of the
+    // trace: the same error, and a checkpoint holding exactly the
+    // unit before it plus its quarantine, at any thread count.
+    TempFile serial_ckpt("tamper_ckpt"), wide_ckpt("tamper_ckpt_t4");
     TraceCheckOptions strict = opt;
     strict.strict = true;
-    try {
-        (void)checkTrace(strict);
-        FAIL() << "tampered unit passed strict";
-    } catch (const TraceError &err) {
-        EXPECT_EQ(err.kind(), TraceFaultKind::FingerprintMismatch);
-    }
+    strict.checkpointPath = serial_ckpt.path();
+    const auto serial = traceErrorOf(strict);
+    EXPECT_EQ(serial.first, TraceFaultKind::FingerprintMismatch);
+    EXPECT_NE(serial.second.find("unit 1 of"), std::string::npos)
+        << serial.second;
+    EXPECT_EQ(readJournal(serial_ckpt.path()).records.size(), 3u);
+    strict.threads = 4;
+    strict.checkpointPath = wide_ckpt.path();
+    EXPECT_EQ(traceErrorOf(strict), serial);
+    EXPECT_EQ(fileBytes(serial_ckpt.path()), fileBytes(wide_ckpt.path()));
 }
 
 TEST(TraceCheck, DuplicateRecordClassifiedCorruptFirstKept)
@@ -367,6 +456,7 @@ TEST(TraceCheck, DuplicateRecordClassifiedCorruptFirstKept)
     EXPECT_EQ(report.faults[0].kind, TraceFaultKind::Corrupt);
     ASSERT_EQ(report.summaries.size(), 1u);
     EXPECT_EQ(report.summaries[0].tests, 2u);
+    expectSameReport(report, checkAt(opt, 4), "threads 4");
 }
 
 TEST(TraceCheck, ForeignHeaderDigestRejectedAsFingerprintMismatch)
@@ -382,12 +472,11 @@ TEST(TraceCheck, ForeignHeaderDigestRejectedAsFingerprintMismatch)
 
     TraceCheckOptions opt;
     opt.tracePath = trace.path();
-    try {
-        (void)checkTrace(opt); // fatal even in degraded mode
-        FAIL() << "foreign trace checked";
-    } catch (const TraceError &err) {
-        EXPECT_EQ(err.kind(), TraceFaultKind::FingerprintMismatch);
-    }
+    const auto serial = traceErrorOf(opt); // fatal even in degraded mode
+    EXPECT_FALSE(serial.second.empty()) << "foreign trace checked";
+    EXPECT_EQ(serial.first, TraceFaultKind::FingerprintMismatch);
+    opt.threads = 4;
+    EXPECT_EQ(traceErrorOf(opt), serial);
 }
 
 TEST(TraceCheck, UnitFromAnotherCampaignRejectedBySeedBinding)
@@ -410,6 +499,7 @@ TEST(TraceCheck, UnitFromAnotherCampaignRejectedBySeedBinding)
               TraceFaultKind::FingerprintMismatch);
     // The rejected record's slot is missing, not silently adopted.
     EXPECT_EQ(report.missingUnits, 1u);
+    expectSameReport(report, checkAt(opt, 4), "threads 4");
 }
 
 } // anonymous namespace

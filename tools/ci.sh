@@ -22,9 +22,10 @@
 # (digests included) must be byte-identical to the serial run. The
 # trace round-trip smoke covers the offline split: a --dump-trace
 # campaign re-checked by mtc_check must reproduce the inline summary
-# byte for byte, and a torn copy of the trace must exit with the
-# classified trace-fault code. The stress pass last repeats the fork-
-# and socket-heavy suites 20 times under 2x core oversubscription.
+# byte for byte at 1 and 4 checker threads, and a torn copy of the
+# trace must exit with the classified trace-fault code. The stress
+# pass last repeats the fork- and socket-heavy suites 20 times under
+# 2x core oversubscription.
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
 
@@ -85,24 +86,24 @@ grep -q '"deterministic": true' BENCH_hotpath.smoke.json
 # streaming decode→check pipeline (the default; its trace dumped via
 # MTC_DUMP_TRACE) and once through the barrier baseline
 # (--no-stream-check), then the dumped trace re-checked offline by
-# mtc_check with the decode→check pipeline overlapped across 2
-# threads in a 7-diff window. Every summary line — campaign digests
-# and the fault/quarantine accounting included — must be
+# mtc_check verifying 4 units at once. Every summary line — campaign
+# digests and the fault/quarantine accounting included — must be
 # byte-identical, and so must the exit codes; this is the streamed vs
-# barrier vs overlapped bit-identity gate end to end, in the plain,
-# sanitized, and SIMD trees.
+# barrier vs offline bit-identity gate end to end, in the plain,
+# sanitized, and SIMD trees. (The overlapped decode→check pipeline
+# is gated by stream_check_test's windows x threads matrix.)
 stream_smoke() {
     local bin_dir="$1" tag="$2"
     local validate="${bin_dir}/tools/mtc_validate"
     local streamed="build/ci_stream_${tag}.stream.txt"
     local barrier="build/ci_stream_${tag}.barrier.txt"
-    local overlapped="build/ci_stream_${tag}.overlap.txt"
+    local offline="build/ci_stream_${tag}.offline.txt"
     local trace="build/ci_stream_${tag}.trace"
     local args=(--config ARM-4-100-64 --tests 6 --iterations 1024
                 --seed 3 --shard-size 32 --fault-bitflip 0.01
                 --fault-truncate 0.005)
-    rm -f "${streamed}" "${barrier}" "${overlapped}" "${trace}"
-    local stream_rc=0 barrier_rc=0 overlap_rc=0
+    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
+    local stream_rc=0 barrier_rc=0 offline_rc=0
     MTC_DUMP_TRACE="${trace}" "${validate}" "${args[@]}" \
         > "${streamed}" || stream_rc=$?
     [ "${stream_rc}" -ne 1 ]
@@ -111,12 +112,12 @@ stream_smoke() {
     [ "${barrier_rc}" -eq "${stream_rc}" ]
     diff <(grep -E "^campaign|fault summary" "${streamed}") \
          <(grep -E "^campaign|fault summary" "${barrier}")
-    "${bin_dir}/tools/mtc_check" "${trace}" --threads 2 \
-        --stream-window 7 > "${overlapped}" || overlap_rc=$?
-    [ "${overlap_rc}" -eq "${stream_rc}" ]
+    "${bin_dir}/tools/mtc_check" "${trace}" --threads 4 \
+        > "${offline}" || offline_rc=$?
+    [ "${offline_rc}" -eq "${stream_rc}" ]
     diff <(grep '^campaign' "${streamed}") \
-         <(grep '^campaign' "${overlapped}")
-    rm -f "${streamed}" "${barrier}" "${overlapped}" "${trace}"
+         <(grep '^campaign' "${offline}")
+    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
 }
 
 echo "=== streaming-check smoke (plain) ==="
@@ -303,11 +304,12 @@ dist_smoke ./build-asan asan
 
 # Trace round-trip smoke: the offline-checking gate. A faulted
 # campaign runs once with --dump-trace, then mtc_check re-checks the
-# trace standalone, and every `campaign` summary line — per-config
-# digests and the campaign digest included — must be byte-identical
-# to the inline run, with matching exit codes. A truncated copy of
-# the same trace must then land on the documented trace-fault code 7
-# with a classified [truncated] diagnostic, never a crash.
+# trace standalone at 1 and 4 threads, and every `campaign` summary
+# line — per-config digests and the campaign digest included — must
+# be byte-identical to the inline run, with matching exit codes. A
+# truncated copy of the same trace must then land on the documented
+# trace-fault code 7 with the same classified diagnostics at 1 and 4
+# threads, never a crash.
 trace_smoke() {
     local bin_dir="$1" tag="$2"
     local coord="${bin_dir}/tools/mtc_coordinator"
@@ -320,40 +322,53 @@ trace_smoke() {
     local check_out="build/ci_trace_${tag}.check.txt"
     local torn_out="build/ci_trace_${tag}.torn.txt"
     local torn_err="build/ci_trace_${tag}.torn.err"
+    local torn_err4="build/ci_trace_${tag}.torn4.err"
     local args=(--config x86-2-50-32 --config ARM-2-50-32 --tests 4
                 --iterations 1024 --seed 23 --fault-bitflip 0.01)
     rm -f "${trace}" "${dist_trace}" "${torn}" "${inline_out}" \
-        "${dist_out}" "${check_out}" "${torn_out}" "${torn_err}"
-    local inline_rc=0 check_rc=0 dist_rc=0 dchk_rc=0 torn_rc=0
+        "${dist_out}" "${check_out}" "${torn_out}" "${torn_err}" \
+        "${torn_err4}"
+    local inline_rc=0 dist_rc=0 torn_rc=0 torn4_rc=0
     "${coord}" "${args[@]}" --serial --dump-trace "${trace}" \
         > "${inline_out}" || inline_rc=$?
     [ "${inline_rc}" -ne 1 ]
-    "${check}" "${trace}" > "${check_out}" || check_rc=$?
-    [ "${check_rc}" -eq "${inline_rc}" ]
-    diff <(grep '^campaign' "${inline_out}") \
-         <(grep '^campaign' "${check_out}")
     # The distributed producer (2 loopback workers, units reported out
     # of order) must dump a trace whose offline check still lands on
     # the very same summary lines as the serial inline run.
     "${coord}" "${args[@]}" --workers 2 --dump-trace "${dist_trace}" \
         > "${dist_out}" 2> /dev/null || dist_rc=$?
     [ "${dist_rc}" -eq "${inline_rc}" ]
-    "${check}" "${dist_trace}" > "${check_out}" || dchk_rc=$?
-    [ "${dchk_rc}" -eq "${inline_rc}" ]
-    diff <(grep '^campaign' "${inline_out}") \
-         <(grep '^campaign' "${check_out}")
+    # Both traces, checked one unit at a time and 4 units at once.
+    local t threads
+    for t in "${trace}" "${dist_trace}"; do
+        for threads in 1 4; do
+            local check_rc=0
+            "${check}" "${t}" --threads "${threads}" > "${check_out}" \
+                || check_rc=$?
+            [ "${check_rc}" -eq "${inline_rc}" ]
+            diff <(grep '^campaign' "${inline_out}") \
+                 <(grep '^campaign' "${check_out}")
+        done
+    done
     # Tear off the trace tail: the checker must recover the longest
     # intact prefix, report the loss as a classified fault, and exit
-    # with the trace-fault code — crashing or hanging fails the gate.
+    # with the trace-fault code — crashing or hanging fails the gate —
+    # with the same diagnostics at any thread count.
     head -c "$(($(stat -c %s "${trace}") * 3 / 5))" "${trace}" \
         > "${torn}"
-    "${check}" "${torn}" > "${torn_out}" 2> "${torn_err}" \
+    "${check}" "${torn}" --threads 1 > "${torn_out}" 2> "${torn_err}" \
         || torn_rc=$?
     [ "${torn_rc}" -eq 7 ]
     grep -q "trace fault \[truncated\]" "${torn_err}"
     grep -q "^trace check:" "${torn_out}"
+    "${check}" "${torn}" --threads 4 > /dev/null 2> "${torn_err4}" \
+        || torn4_rc=$?
+    [ "${torn4_rc}" -eq 7 ]
+    diff <(grep 'trace fault' "${torn_err}") \
+         <(grep 'trace fault' "${torn_err4}")
     rm -f "${trace}" "${dist_trace}" "${torn}" "${inline_out}" \
-        "${dist_out}" "${check_out}" "${torn_out}" "${torn_err}"
+        "${dist_out}" "${check_out}" "${torn_out}" "${torn_err}" \
+        "${torn_err4}"
 }
 
 echo "=== trace round-trip smoke (plain) ==="

@@ -17,9 +17,9 @@
  *     --checkpoint PATH   append per-unit progress records here
  *     --resume            replay verdicts from --checkpoint whose
  *                         payload digests still match the trace
- *     --threads N         checker worker threads (bit-identical) [1]
+ *     --threads N         units verified at once, one thread each;
+ *                         output is byte-identical at any N [1]
  *     --no-stream         barrier pipeline instead of streaming
- *     --stream-window N   streaming decode→check window [64]
  *     --help
  *
  * Exit status extends mtc_validate/mtc_coordinator:
@@ -58,11 +58,11 @@ usage()
         "  --resume          replay verdicts from --checkpoint whose\n"
         "                    payload digests still match the trace;\n"
         "                    stale entries are re-checked\n"
-        "  --threads N       checker worker threads; results are\n"
-        "                    bit-identical at any value [1]\n"
+        "  --threads N       units verified at once, one thread\n"
+        "                    each; output is byte-identical at any\n"
+        "                    value (0 = one per core) [1]\n"
         "  --no-stream       barrier decode-all/check-all pipeline\n"
         "                    instead of streaming (A/B baseline)\n"
-        "  --stream-window N streaming decode->check window [64]\n"
         "exit codes: 0 clean, 1 config error, 2 confirmed violation,\n"
         "            3 corruption only, 4 failed/abandoned units,\n"
         "            5 hang, 6 circuit breaker tripped, 7 trace fault\n";
@@ -93,9 +93,6 @@ parseArgs(int argc, char **argv)
                 static_cast<unsigned>(cli::parseCount(arg, next()));
         else if (arg == "--no-stream")
             opt.streamCheck = false;
-        else if (arg == "--stream-window")
-            opt.streamWindow =
-                static_cast<std::size_t>(cli::parseCount(arg, next()));
         else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
