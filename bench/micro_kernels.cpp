@@ -10,7 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "core/collective_checker.h"
 #include "core/conventional_checker.h"
@@ -269,6 +271,106 @@ BM_PlatformIterationArena(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PlatformIterationArena);
+
+/** The sorted unique signature stream of one test. */
+struct StreamWorkload
+{
+    TestProgram program;
+    LoadValueAnalysis analysis;
+    InstrumentationPlan plan;
+    SignatureCodec codec;
+    std::vector<Signature> sorted;
+
+    StreamWorkload(const char *config_name, std::uint64_t iterations)
+        : program(generateTest(parseConfigName(config_name), 42)),
+          analysis(program), plan(program, analysis),
+          codec(program, analysis, plan)
+    {
+        OperationalExecutor platform(
+            bareMetalConfig(program.config().isa));
+        Rng rng(7);
+        RunArena arena;
+        std::set<Signature> unique;
+        for (std::uint64_t i = 0; i < iterations; ++i) {
+            platform.runInto(program, rng, arena);
+            unique.insert(codec.encode(arena.execution).signature);
+        }
+        sorted.assign(unique.begin(), unique.end());
+    }
+};
+
+/**
+ * The streaming graph-building stages over one test's sorted unique
+ * stream: StreamDecoder, WsOrder::inferDelta and EdgeDeriver::derive.
+ * The counters are exact work per delta step (every signature after
+ * the first): segments re-walked, locations re-closed, loads and
+ * locations re-derived and diff edges, beside the loads of the changed
+ * threads — what thread-grain re-derivation touched.
+ */
+void
+BM_StreamWsDerive(benchmark::State &state)
+{
+    static StreamWorkload arm("ARM-7-100-64", 2048);
+    static StreamWorkload x86("x86-4-200-64", 2048);
+    const StreamWorkload &w = state.range(0) == 0 ? arm : x86;
+    state.SetLabel(w.program.config().name());
+
+    const auto run = [&w](auto &&on_step) {
+        StreamDecoder stream(w.codec);
+        WsOrder ws;
+        EdgeDeriver deriver(w.program);
+        EdgeDiff diff;
+        for (const Signature &signature : w.sorted) {
+            const Execution &exec = stream.next(signature);
+            const std::vector<std::uint32_t> &changed =
+                stream.changedThreads();
+            ws.inferDelta(w.program, exec, changed.data(),
+                          changed.size());
+            deriver.derive(exec, ws, changed.data(), changed.size(),
+                           diff);
+            on_step(changed, ws, deriver, diff);
+        }
+    };
+
+    // Untimed counting pass.
+    std::uint64_t steps = 0, segments = 0, closed = 0, loads = 0,
+                  locs = 0, edges = 0, thread_loads = 0;
+    run([&](const std::vector<std::uint32_t> &changed, const WsOrder &ws,
+            const EdgeDeriver &deriver, const EdgeDiff &diff) {
+        if (steps++ == 0) { // the first step is a full inference
+            segments = ws.segmentsWalked();
+            closed = ws.locationsClosed();
+            loads = deriver.loadsDerived();
+            locs = deriver.locationsDerived();
+            return;
+        }
+        edges += diff.added.size() + diff.removed.size();
+        for (const std::uint32_t tid : changed)
+            thread_loads += w.program.loadsOfThread(tid).size();
+        if (steps == w.sorted.size()) {
+            segments = ws.segmentsWalked() - segments;
+            closed = ws.locationsClosed() - closed;
+            loads = deriver.loadsDerived() - loads;
+            locs = deriver.locationsDerived() - locs;
+        }
+    });
+    const double deltas = std::max<double>(1.0, double(steps) - 1.0);
+    state.counters["segs_walked"] = double(segments) / deltas;
+    state.counters["locs_closed"] = double(closed) / deltas;
+    state.counters["loads_derived"] = double(loads) / deltas;
+    state.counters["locs_derived"] = double(locs) / deltas;
+    state.counters["diff_edges"] = double(edges) / deltas;
+    state.counters["thread_loads"] = double(thread_loads) / deltas;
+
+    for (auto _ : state) {
+        run([](const std::vector<std::uint32_t> &, const WsOrder &,
+               const EdgeDeriver &, const EdgeDiff &diff) {
+            benchmark::DoNotOptimize(diff.added.data());
+        });
+    }
+    state.SetItemsProcessed(state.iterations() * w.sorted.size());
+}
+BENCHMARK(BM_StreamWsDerive)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

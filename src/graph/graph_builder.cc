@@ -1,8 +1,10 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "graph/po_edges.h"
+#include "support/error.h"
 
 namespace mtc
 {
@@ -164,101 +166,196 @@ applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
     edges.swap(scratch);
 }
 
-EdgeDeriver::EdgeDeriver(const TestProgram &program) : prog(program)
+EdgeDeriver::EdgeDeriver(const TestProgram &program)
 {
-    const auto &loads = prog.loads();
-    loadLoc.resize(loads.size());
-    for (std::uint32_t ordinal = 0; ordinal < loads.size(); ++ordinal)
-        loadLoc[ordinal] = prog.op(loads[ordinal]).loc;
-    loadUnits.resize(loads.size());
-    locUnits.resize(prog.config().numLocations);
-    tidChangedFlag.assign(prog.numThreads(), 0);
+    storeIndex.build(program);
+    const auto &loads = program.loads();
+    const auto num_loads = static_cast<std::uint32_t>(loads.size());
+    const std::uint32_t num_locs = program.config().numLocations;
+
+    loadVertex.resize(num_loads);
+    loadLoc.resize(num_loads);
+    loadTid.resize(num_loads);
+    threadLoadBegin.assign(program.numThreads() + 1, 0);
+    locLoadBegin.assign(num_locs + 1, 0);
+    for (std::uint32_t ordinal = 0; ordinal < num_loads; ++ordinal) {
+        const OpId id = loads[ordinal];
+        loadVertex[ordinal] = program.globalIndex(id);
+        loadLoc[ordinal] = program.op(id).loc;
+        loadTid[ordinal] = id.tid;
+        ++threadLoadBegin[id.tid + 1];
+        ++locLoadBegin[loadLoc[ordinal] + 1];
+    }
+    for (std::uint32_t tid = 0; tid < program.numThreads(); ++tid)
+        threadLoadBegin[tid + 1] += threadLoadBegin[tid];
+    for (std::uint32_t loc = 0; loc < num_locs; ++loc)
+        locLoadBegin[loc + 1] += locLoadBegin[loc];
+    locLoads.resize(num_loads);
+    std::vector<std::uint32_t> cursor(locLoadBegin.begin(),
+                                      locLoadBegin.end() - 1);
+    for (std::uint32_t ordinal = 0; ordinal < num_loads; ++ordinal)
+        locLoads[cursor[loadLoc[ordinal]]++] = ordinal;
+
+    locStoreBegin.assign(num_locs + 1, 0);
+    locWords.resize(num_locs);
+    locRowBegin.resize(num_locs);
+    std::size_t total = 0;
+    for (std::uint32_t loc = 0; loc < num_locs; ++loc) {
+        const auto &stores = program.storesTo(loc);
+        for (const OpId store : stores) {
+            storeVertex.push_back(program.globalIndex(store));
+            storeTid.push_back(store.tid);
+        }
+        locStoreBegin[loc + 1] =
+            static_cast<std::uint32_t>(storeVertex.size());
+        const auto n = static_cast<std::uint32_t>(stores.size()) + 1;
+        locWords[loc] = (n + 63) / 64;
+        locRowBegin[loc] = total;
+        total += static_cast<std::size_t>(n) * locWords[loc];
+    }
+    rows.assign(total, 0);
+
+    loadValue.assign(num_loads, 0);
+    loadWriter.assign(num_loads, StoreIndex::kUnknown);
+    loadQueued.assign(num_loads, 0);
+    loadQueue.reserve(num_loads);
+    fromStart.assign(program.numOps() + 1, 0);
 }
 
-void
-EdgeDeriver::deriveLoadUnit(std::uint32_t ordinal,
-                            const Execution &execution,
-                            const WsOrder &ws,
-                            std::vector<Edge> &unit) const
+namespace
 {
-    // Mirrors the per-load body of dynamicEdgesInto() exactly,
-    // including the unknown-writer early-out (no rf *and* no fr; the
-    // coherence violation it implies is already ws.coherenceViolation()
-    // because the ws walk saw the same unknown value).
-    const OpId load_id = prog.loads()[ordinal];
-    const std::uint32_t load_vertex = prog.globalIndex(load_id);
+
+/**
+ * Append an edge of @p kind from @p from to each store whose reach bit
+ * leaves (@p removed) or enters (@p added) between @p old_row and
+ * @p new_row. Targets are real stores (index >= 1) other than the
+ * row's own index (@p old_self, @p new_self); a null row is an empty
+ * unit. Bits are read by count-trailing-zeros, so each list gains its
+ * edges in ascending store, hence vertex, order.
+ */
+void
+diffRow(const std::uint64_t *old_row, std::uint32_t old_self,
+        const std::uint64_t *new_row, std::uint32_t new_self,
+        std::uint32_t words, std::uint32_t from,
+        const std::uint32_t *store_vertex, EdgeKind kind,
+        std::vector<Edge> &removed, std::vector<Edge> &added)
+{
+    const auto targets = [](const std::uint64_t *row, std::uint32_t w,
+                            std::uint32_t self) -> std::uint64_t {
+        if (row == nullptr)
+            return 0;
+        std::uint64_t bits = row[w];
+        if (w == 0)
+            bits &= ~std::uint64_t(1);
+        if ((self >> 6) == w)
+            bits &= ~(std::uint64_t(1) << (self & 63));
+        return bits;
+    };
+    const auto emit = [&](std::uint64_t bits, std::uint32_t w,
+                          std::vector<Edge> &out) {
+        for (; bits != 0; bits &= bits - 1) {
+            const auto j = w * 64 +
+                static_cast<std::uint32_t>(std::countr_zero(bits));
+            out.push_back(Edge{from, store_vertex[j - 1], kind});
+        }
+    };
+    for (std::uint32_t w = 0; w < words; ++w) {
+        const std::uint64_t before = targets(old_row, w, old_self);
+        const std::uint64_t after = targets(new_row, w, new_self);
+        emit(before & ~after, w, removed);
+        emit(after & ~before, w, added);
+    }
+}
+
+} // namespace
+
+void
+EdgeDeriver::diffLoad(std::uint32_t ordinal, std::uint32_t w_old,
+                      const std::uint64_t *old_rows, std::uint32_t w_new,
+                      const std::uint64_t *new_rows,
+                      std::vector<Edge> &removed,
+                      std::vector<Edge> &added) const
+{
+    // The unit mirrors the per-load body of dynamicEdgesInto(): an
+    // external rf edge from a real writer, and fr edges to every store
+    // coherence-after the writer except the writer itself. A load of a
+    // value no store wrote has no unit (the coherence violation it
+    // implies is already ws.coherenceViolation()).
     const std::uint32_t loc = loadLoc[ordinal];
-    const std::uint32_t value = execution.loadValues.at(ordinal);
-
-    std::optional<OpId> writer;
-    if (value != kInitValue) {
-        writer = prog.storeForValue(value);
-        if (!writer)
-            return;
-        if (writer->tid != load_id.tid) {
-            unit.push_back(Edge{prog.globalIndex(*writer), load_vertex,
-                                EdgeKind::ReadsFrom});
+    const std::uint32_t vertex = loadVertex[ordinal];
+    const std::uint32_t stores = locStoreBegin[loc];
+    const auto rf_from = [&](std::uint32_t w, std::uint32_t &from) {
+        if (w == StoreIndex::kUnknown || w == 0 ||
+            storeTid[stores + w - 1] == loadTid[ordinal]) {
+            return false;
         }
+        from = storeVertex[stores + w - 1];
+        return true;
+    };
+    std::uint32_t from = 0;
+    if (w_old != w_new) {
+        if (rf_from(w_old, from))
+            removed.push_back(Edge{from, vertex, EdgeKind::ReadsFrom});
+        if (rf_from(w_new, from))
+            added.push_back(Edge{from, vertex, EdgeKind::ReadsFrom});
     }
 
-    const auto &stores = ws.storesAt(loc);
-    const std::uint32_t from = ws.indexOf(loc, writer);
-    for (std::size_t i = 0; i < stores.size(); ++i) {
-        if (!ws.orderedByIndex(loc, from,
-                               static_cast<std::uint32_t>(i) + 1)) {
-            continue;
-        }
-        if (writer && stores[i] == *writer)
-            continue;
-        unit.push_back(Edge{load_vertex, prog.globalIndex(stores[i]),
-                            EdgeKind::FromRead});
-    }
-    std::sort(unit.begin(), unit.end());
+    const std::uint32_t words = locWords[loc];
+    const auto row_of = [words](const std::uint64_t *base,
+                                std::uint32_t w) -> const std::uint64_t * {
+        return base == nullptr || w == StoreIndex::kUnknown
+            ? nullptr
+            : base + static_cast<std::size_t>(w) * words;
+    };
+    diffRow(row_of(old_rows, w_old), w_old, row_of(new_rows, w_new), w_new,
+            words, vertex, storeVertex.data() + stores, EdgeKind::FromRead,
+            removed, added);
 }
 
 void
-EdgeDeriver::deriveLocUnit(std::uint32_t loc, const WsOrder &ws,
-                           std::vector<Edge> &unit) const
+EdgeDeriver::diffLoc(std::uint32_t loc, const std::uint64_t *old_rows,
+                     const std::uint64_t *new_rows,
+                     std::vector<Edge> &removed,
+                     std::vector<Edge> &added) const
 {
-    const auto &stores = ws.storesAt(loc);
-    for (std::size_t i = 0; i < stores.size(); ++i) {
-        for (std::size_t j = 0; j < stores.size(); ++j) {
-            if (i == j ||
-                !ws.orderedByIndex(loc,
-                                   static_cast<std::uint32_t>(i) + 1,
-                                   static_cast<std::uint32_t>(j) + 1)) {
-                continue;
-            }
-            unit.push_back(Edge{prog.globalIndex(stores[i]),
-                                prog.globalIndex(stores[j]),
-                                EdgeKind::WriteSerialization});
-        }
+    const std::uint32_t words = locWords[loc];
+    const std::uint32_t stores = locStoreBegin[loc];
+    const std::uint32_t n = locStoreBegin[loc + 1] - stores + 1;
+    for (std::uint32_t i = 1; i < n; ++i) {
+        const std::size_t row = static_cast<std::size_t>(i) * words;
+        diffRow(old_rows == nullptr ? nullptr : old_rows + row, i,
+                new_rows + row, i, words, storeVertex[stores + i - 1],
+                storeVertex.data() + stores, EdgeKind::WriteSerialization,
+                removed, added);
     }
-    std::sort(unit.begin(), unit.end());
 }
 
 void
-EdgeDeriver::diffUnit(const std::vector<Edge> &before,
-                      const std::vector<Edge> &after, EdgeDiff &out)
+EdgeDeriver::sortByFrom(const std::vector<Edge> &in, std::vector<Edge> &out)
 {
-    std::size_t i = 0, j = 0;
-    while (i < before.size() || j < after.size()) {
-        if (j == after.size()) {
-            out.removed.push_back(before[i++]);
-        } else if (i == before.size()) {
-            out.added.push_back(after[j++]);
-        } else {
-            const std::uint64_t ka = edgeKey(before[i]);
-            const std::uint64_t kb = edgeKey(after[j]);
-            if (ka < kb) {
-                out.removed.push_back(before[i++]);
-            } else if (kb < ka) {
-                out.added.push_back(after[j++]);
-            } else {
-                ++i;
-                ++j;
-            }
+    out.resize(in.size());
+    if (in.size() < 2) {
+        std::copy(in.begin(), in.end(), out.begin());
+        return;
+    }
+    std::fill(fromStart.begin(), fromStart.end(), 0);
+    for (const Edge &e : in)
+        ++fromStart[e.from + 1];
+    for (std::size_t v = 1; v < fromStart.size(); ++v)
+        fromStart[v] += fromStart[v - 1];
+    for (const Edge &e : in)
+        out[fromStart[e.from]++] = e;
+    // A same-`from` run is a concatenation of sorted unit runs (every
+    // unit emits ascending `to`), so this pass moves few elements.
+    // (from, to) keys are unique, so the result equals std::sort's.
+    for (std::size_t i = 1; i < out.size(); ++i) {
+        const Edge e = out[i];
+        std::size_t j = i;
+        while (j > 0 && out[j - 1].from == e.from && out[j - 1].to > e.to) {
+            out[j] = out[j - 1];
+            --j;
         }
+        out[j] = e;
     }
 }
 
@@ -267,44 +364,77 @@ EdgeDeriver::derive(const Execution &execution, const WsOrder &ws,
                     const std::uint32_t *changed_tids, std::size_t n,
                     EdgeDiff &out)
 {
-    out.removed.clear();
-    out.added.clear();
     out.coherenceViolation = ws.coherenceViolation();
+    rawRemoved.clear();
+    rawAdded.clear();
+    const auto num_loads = static_cast<std::uint32_t>(loadValue.size());
+    if (execution.loadValues.size() < num_loads)
+        throw ConfigError("execution has fewer load values than loads");
 
-    std::fill(tidChangedFlag.begin(), tidChangedFlag.end(), 0);
-    for (std::size_t k = 0; k < n; ++k)
-        tidChangedFlag[changed_tids[k]] = 1;
-
-    const auto &loads = prog.loads();
-    for (std::uint32_t ordinal = 0; ordinal < loads.size(); ++ordinal) {
-        const std::uint32_t loc = loadLoc[ordinal];
-        if (!first && !tidChangedFlag[loads[ordinal].tid] &&
-            !ws.locChanged(loc)) {
-            continue;
+    // Loads to re-derive: every load the first time; then the loads
+    // whose value changed (only changed threads can hold one) and the
+    // loads at locations whose order moved.
+    loadQueue.clear();
+    const auto queue = [&](std::uint32_t ordinal) {
+        if (!loadQueued[ordinal]) {
+            loadQueued[ordinal] = 1;
+            loadQueue.push_back(ordinal);
         }
-        unitScratch.clear();
-        deriveLoadUnit(ordinal, execution, ws, unitScratch);
-        diffUnit(loadUnits[ordinal], unitScratch, out);
-        // Copy, don't swap: swapping would rotate one buffer across
-        // units of different sizes and realloc on every pass; a copy
-        // lets each unit's capacity reach its own high-water mark.
-        loadUnits[ordinal].assign(unitScratch.begin(),
-                                  unitScratch.end());
+    };
+    if (first) {
+        for (std::uint32_t ordinal = 0; ordinal < num_loads; ++ordinal)
+            queue(ordinal);
+    } else {
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t tid = changed_tids[k];
+            for (std::uint32_t ordinal = threadLoadBegin[tid];
+                 ordinal < threadLoadBegin[tid + 1]; ++ordinal) {
+                if (execution.loadValues[ordinal] != loadValue[ordinal])
+                    queue(ordinal);
+            }
+        }
+        for (std::uint32_t loc = 0; loc < locWords.size(); ++loc) {
+            if (!ws.locChanged(loc))
+                continue;
+            for (std::uint32_t k = locLoadBegin[loc];
+                 k < locLoadBegin[loc + 1]; ++k)
+                queue(locLoads[k]);
+        }
     }
-    for (std::uint32_t loc = 0; loc < locUnits.size(); ++loc) {
+
+    // Load units first: they read the previous rows, which the
+    // location pass below overwrites.
+    for (const std::uint32_t ordinal : loadQueue) {
+        loadQueued[ordinal] = 0;
+        const std::uint32_t loc = loadLoc[ordinal];
+        const std::uint32_t value = execution.loadValues[ordinal];
+        const std::uint32_t w_old = loadWriter[ordinal];
+        const std::uint32_t w_new = first || value != loadValue[ordinal]
+            ? storeIndex.resolve(loc, value)
+            : w_old;
+        diffLoad(ordinal, w_old, rows.data() + locRowBegin[loc], w_new,
+                 ws.reachRow(loc, 0), rawRemoved, rawAdded);
+        loadValue[ordinal] = value;
+        loadWriter[ordinal] = w_new;
+        ++derivedLoads;
+    }
+    for (std::uint32_t loc = 0; loc < locWords.size(); ++loc) {
         if (!first && !ws.locChanged(loc))
             continue;
-        unitScratch.clear();
-        deriveLocUnit(loc, ws, unitScratch);
-        diffUnit(locUnits[loc], unitScratch, out);
-        locUnits[loc].assign(unitScratch.begin(), unitScratch.end());
+        std::uint64_t *old_rows = rows.data() + locRowBegin[loc];
+        diffLoc(loc, old_rows, ws.reachRow(loc, 0), rawRemoved, rawAdded);
+        const std::size_t row_words =
+            static_cast<std::size_t>(locStoreBegin[loc + 1] -
+                                     locStoreBegin[loc] + 1) *
+            locWords[loc];
+        std::copy(ws.reachRow(loc, 0), ws.reachRow(loc, 0) + row_words,
+                  old_rows);
+        ++derivedLocs;
     }
     first = false;
 
-    // Per-unit diffs are sorted, units never share keys, so one sort
-    // over the concatenation yields the exact global diff.
-    std::sort(out.removed.begin(), out.removed.end());
-    std::sort(out.added.begin(), out.added.end());
+    sortByFrom(rawRemoved, out.removed);
+    sortByFrom(rawAdded, out.added);
 }
 
 void
@@ -318,11 +448,14 @@ EdgeDeriver::snapshotAdded(EdgeDiff &out) const
 void
 EdgeDeriver::assembleInto(std::vector<Edge> &out) const
 {
+    // Every unit as a diff from the empty unit, which removes nothing.
     out.clear();
-    for (const auto &unit : loadUnits)
-        out.insert(out.end(), unit.begin(), unit.end());
-    for (const auto &unit : locUnits)
-        out.insert(out.end(), unit.begin(), unit.end());
+    for (std::uint32_t ordinal = 0; ordinal < loadWriter.size(); ++ordinal) {
+        diffLoad(ordinal, StoreIndex::kUnknown, nullptr, loadWriter[ordinal],
+                 rows.data() + locRowBegin[loadLoc[ordinal]], out, out);
+    }
+    for (std::uint32_t loc = 0; loc < locWords.size(); ++loc)
+        diffLoc(loc, nullptr, rows.data() + locRowBegin[loc], out, out);
     std::sort(out.begin(), out.end());
 }
 

@@ -110,13 +110,19 @@ void applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
  * its fr edges) and per-location units (the ws pairs of that
  * location). A load's unit depends only on the load's own decoded
  * value and its location's closed ws order; a location's unit depends
- * only on that order. So when the delta decoder reports which threads
- * changed and WsOrder::locChanged() reports which location orders
- * moved, only those units are re-derived, and per-unit diffs compose
- * into the exact global (from, to)-sorted diff: (from, to) keys are
- * unique across the whole edge set — rf targets a load, fr leaves a
- * load, ws connects two stores of one location — so no two units ever
- * produce the same key.
+ * only on that order. So only the loads whose value changed (found
+ * among the delta decoder's changed threads) and the loads and
+ * locations whose order moved (WsOrder::locChanged()) are re-derived,
+ * and per-unit diffs compose into the exact global (from, to)-sorted
+ * diff: (from, to) keys are unique across the whole edge set — rf
+ * targets a load, fr leaves a load, ws connects two stores of one
+ * location — so no two units ever produce the same key.
+ *
+ * A unit is never stored as an edge list: a load's unit is its writer's
+ * order index (its fr edges are that writer's reach row), and a
+ * location's unit is its reach rows. The deriver keeps the rows of the
+ * previous derive(), so a unit's diff is the XOR of its old and new
+ * rows, emitted in ascending order by count-trailing-zeros.
  *
  * Results are bit-identical to re-running dynamicEdgesInto() per
  * execution and diffing the sorted lists.
@@ -124,7 +130,7 @@ void applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
 class EdgeDeriver
 {
   public:
-    /** @p program must outlive the deriver. */
+    /** Copies the tables it needs; @p program may die first. */
     explicit EdgeDeriver(const TestProgram &program);
 
     /**
@@ -150,22 +156,70 @@ class EdgeDeriver
      * violation-witness path). */
     void assembleInto(std::vector<Edge> &out) const;
 
-  private:
-    void deriveLoadUnit(std::uint32_t ordinal,
-                        const Execution &execution, const WsOrder &ws,
-                        std::vector<Edge> &unit) const;
-    void deriveLocUnit(std::uint32_t loc, const WsOrder &ws,
-                       std::vector<Edge> &unit) const;
-    static void diffUnit(const std::vector<Edge> &before,
-                         const std::vector<Edge> &after, EdgeDiff &out);
+    // --- Work counters (cumulative since construction) -----------------
 
-    const TestProgram &prog;
-    std::vector<std::uint32_t> loadLoc; ///< [ordinal] location
-    std::vector<std::vector<Edge>> loadUnits; ///< [ordinal] sorted
-    std::vector<std::vector<Edge>> locUnits;  ///< [loc] sorted
-    std::vector<std::uint8_t> tidChangedFlag; ///< scratch
-    std::vector<Edge> unitScratch;
+    /** Load units (rf + fr) re-derived. */
+    std::uint64_t loadsDerived() const { return derivedLoads; }
+
+    /** Location units (ws) re-derived. */
+    std::uint64_t locationsDerived() const { return derivedLocs; }
+
+  private:
+    /**
+     * Append the diff of load @p ordinal's unit when its writer moves
+     * from @p w_old to @p w_new and its location's reach rows from
+     * @p old_rows to @p new_rows (row 0 of the location; nullptr is the
+     * empty unit, as is writer StoreIndex::kUnknown).
+     */
+    void diffLoad(std::uint32_t ordinal, std::uint32_t w_old,
+                  const std::uint64_t *old_rows, std::uint32_t w_new,
+                  const std::uint64_t *new_rows, std::vector<Edge> &removed,
+                  std::vector<Edge> &added) const;
+
+    /** Append the diff of @p loc's ws unit from @p old_rows (nullptr:
+     * empty) to @p new_rows. */
+    void diffLoc(std::uint32_t loc, const std::uint64_t *old_rows,
+                 const std::uint64_t *new_rows, std::vector<Edge> &removed,
+                 std::vector<Edge> &added) const;
+
+    /** Order @p in by (from, to) into @p out: a stable counting sort
+     * by `from`, then an insertion pass over each same-`from` run. */
+    void sortByFrom(const std::vector<Edge> &in, std::vector<Edge> &out);
+
+    // Per-program tables, built once by count-then-fill: each load's
+    // vertex, location and thread; each thread's load ordinals; each
+    // location's stores (vertex and thread, by order index - 1), loads
+    // and reach-row geometry.
+    StoreIndex storeIndex;
+    std::vector<std::uint32_t> loadVertex;
+    std::vector<std::uint32_t> loadLoc;
+    std::vector<std::uint32_t> loadTid;
+    std::vector<std::uint32_t> threadLoadBegin;
+    std::vector<std::uint32_t> locStoreBegin;
+    std::vector<std::uint32_t> storeVertex;
+    std::vector<std::uint32_t> storeTid;
+    std::vector<std::uint32_t> locLoadBegin;
+    std::vector<std::uint32_t> locLoads;
+    std::vector<std::uint32_t> locWords;
+    std::vector<std::size_t> locRowBegin;
+
+    // State of the previous derive(): each load's value and writer
+    // order index (StoreIndex::kUnknown: no unit), each location's
+    // closed reach rows.
+    std::vector<std::uint32_t> loadValue;
+    std::vector<std::uint32_t> loadWriter;
+    std::vector<std::uint64_t> rows;
+
+    // Scratch, sized at construction or grown to a high-water mark.
+    std::vector<std::uint8_t> loadQueued;
+    std::vector<std::uint32_t> loadQueue;
+    std::vector<Edge> rawRemoved;
+    std::vector<Edge> rawAdded;
+    std::vector<std::uint32_t> fromStart; ///< [vertex + 1] sort buckets
     bool first = true;
+
+    std::uint64_t derivedLoads = 0;
+    std::uint64_t derivedLocs = 0;
 };
 
 } // namespace mtc

@@ -15,6 +15,9 @@ WsOrder::bindProgram(const TestProgram &program)
         return;
 
     const std::uint32_t num_locs = program.config().numLocations;
+    const std::uint32_t num_threads = program.numThreads();
+    const std::uint32_t num_loads =
+        static_cast<std::uint32_t>(program.loads().size());
     locStores.resize(num_locs);
     locN.resize(num_locs);
     locWords.resize(num_locs);
@@ -29,29 +32,101 @@ WsOrder::bindProgram(const TestProgram &program)
         locOffset[loc] = total;
         total += static_cast<std::size_t>(n) * locWords[loc];
     }
-    reachSize = total;
-    reach.assign(reachSize, 0);
+    reach.assign(total, 0);
+    storeIndex.build(program);
 
-    // Rule (a): program order among same-thread stores to one
-    // location. storesTo() is ordered by (tid, idx), so adjacent
-    // same-tid entries are program-ordered; chaining adjacent pairs is
-    // sufficient. A property of the program alone, cached per bind.
-    staticCons.assign(num_locs, {});
+    // Segments, count-then-fill: count each (thread, location) pair's
+    // ops, then number the non-empty pairs in (location, thread) order
+    // so a location's segments are contiguous. storesTo() is ordered
+    // by (tid, idx) and so is the fill walk, so a per-location counter
+    // yields each store's order index; loads() is ordered the same
+    // way, so a running counter yields each load's ordinal.
+    const auto pair = [num_threads](std::uint32_t loc, std::uint32_t tid) {
+        return static_cast<std::size_t>(loc) * num_threads + tid;
+    };
+    std::vector<std::uint32_t> seg_of(
+        static_cast<std::size_t>(num_threads) * num_locs, 0);
+    threadLoadBegin.assign(num_threads + 1, 0);
+    const auto &bodies = program.threadBodies();
+    for (std::uint32_t tid = 0; tid < num_threads; ++tid) {
+        threadLoadBegin[tid + 1] = threadLoadBegin[tid];
+        for (const MemOp &mem_op : bodies[tid]) {
+            if (mem_op.kind == OpKind::Fence)
+                continue;
+            ++seg_of[pair(mem_op.loc, tid)]; // op count, for now
+            if (mem_op.kind == OpKind::Load)
+                ++threadLoadBegin[tid + 1];
+        }
+    }
+    segLoc.clear();
+    segBegin.assign(1, 0);
+    locSegBegin.assign(num_locs + 1, 0);
+    std::uint32_t max_ops = 0;
     for (std::uint32_t loc = 0; loc < num_locs; ++loc) {
-        const auto &stores = locStores[loc];
-        for (std::size_t i = 0; i + 1 < stores.size(); ++i) {
-            if (stores[i].tid == stores[i + 1].tid) {
-                staticCons[loc].emplace_back(
-                    static_cast<std::uint32_t>(i) + 1,
-                    static_cast<std::uint32_t>(i) + 2);
+        for (std::uint32_t tid = 0; tid < num_threads; ++tid) {
+            const std::uint32_t ops = seg_of[pair(loc, tid)];
+            if (ops == 0)
+                continue;
+            seg_of[pair(loc, tid)] = static_cast<std::uint32_t>(segLoc.size());
+            segLoc.push_back(loc);
+            segBegin.push_back(segBegin.back() + ops);
+            max_ops = std::max(max_ops, ops);
+        }
+        locSegBegin[loc + 1] = static_cast<std::uint32_t>(segLoc.size());
+    }
+    const auto num_segs = static_cast<std::uint32_t>(segLoc.size());
+    segOps.assign(segBegin[num_segs], 0);
+    loadSeg.assign(num_loads, 0);
+    std::vector<std::uint32_t> cursor(segBegin.begin(),
+                                      segBegin.end() - 1);
+    std::vector<std::uint32_t> stores_seen(num_locs, 0);
+    std::uint32_t ordinal = 0;
+    for (std::uint32_t tid = 0; tid < num_threads; ++tid) {
+        for (const MemOp &mem_op : bodies[tid]) {
+            if (mem_op.kind == OpKind::Fence)
+                continue;
+            const std::uint32_t seg = seg_of[pair(mem_op.loc, tid)];
+            if (mem_op.kind == OpKind::Store) {
+                segOps[cursor[seg]++] =
+                    kStoreOp | ++stores_seen[mem_op.loc];
+            } else {
+                loadSeg[ordinal] = seg;
+                segOps[cursor[seg]++] = ordinal++;
             }
         }
     }
-    threadCons.assign(program.numThreads(), {});
-    threadViol.assign(program.numThreads(), 0);
+
+    // Rule (a): program order among same-thread stores to one
+    // location. Adjacent same-tid entries of storesTo() are
+    // program-ordered; chaining adjacent pairs is sufficient. A
+    // property of the program alone, cached per bind.
+    ruleABegin.assign(num_locs + 1, 0);
+    ruleA.clear();
+    for (std::uint32_t loc = 0; loc < num_locs; ++loc) {
+        const auto &stores = locStores[loc];
+        for (std::uint32_t i = 0; i + 1 < stores.size(); ++i) {
+            if (stores[i].tid == stores[i + 1].tid)
+                ruleA.push_back({i + 1, i + 2});
+        }
+        ruleABegin[loc + 1] = static_cast<std::uint32_t>(ruleA.size());
+    }
+
+    loadValue.assign(num_loads, 0);
+    loadIndex.assign(num_loads, 0);
+    cons.assign(2 * static_cast<std::size_t>(segBegin[num_segs]), {});
+    consCount.assign(num_segs, 0);
+    segViol.assign(num_segs, 0);
     locViol.assign(num_locs, 0);
     locDirty.assign(num_locs, 1);
-    locPending.assign(num_locs, 0);
+    violSegs = 0;
+    violLocs = 0;
+    segQueued.assign(num_segs, 0);
+    locQueued.assign(num_locs, 0);
+    segQueue.clear();
+    segQueue.reserve(num_segs);
+    locQueue.clear();
+    locQueue.reserve(num_locs);
+    walkScratch.assign(2 * static_cast<std::size_t>(max_ops), {});
     haveState = false;
 
     bound = true;
@@ -59,171 +134,105 @@ WsOrder::bindProgram(const TestProgram &program)
 }
 
 void
-WsOrder::resetOrders()
+WsOrder::resolveLoad(std::uint32_t ordinal, std::uint32_t value)
 {
-    reach.assign(reachSize, 0);
-    violation = false;
-    // The virtual initial store is index 0 and precedes everything.
-    for (std::size_t loc = 0; loc < locN.size(); ++loc) {
-        std::uint64_t *row0 = reach.data() + locOffset[loc];
-        for (std::uint32_t i = 1; i < locN[loc]; ++i)
-            row0[i >> 6] |= std::uint64_t(1) << (i & 63);
-    }
+    loadValue[ordinal] = value;
+    loadIndex[ordinal] =
+        storeIndex.resolve(segLoc[loadSeg[ordinal]], value);
 }
 
-void
-WsOrder::addConstraint(std::uint32_t loc, std::uint32_t from,
-                       std::uint32_t to)
+bool
+WsOrder::walkSegment(std::uint32_t seg)
 {
-    std::uint64_t *row = reach.data() + locOffset[loc] +
-        static_cast<std::size_t>(from) * locWords[loc];
-    row[to >> 6] |= std::uint64_t(1) << (to & 63);
-}
+    // Walk the segment once, tracking the last own store and the last
+    // load-observed index, to apply rules (b), (c), (d). The rules
+    // relate only ops of one thread at one location, so the result
+    // depends on nothing outside the segment.
+    constexpr std::uint32_t kNone = StoreIndex::kUnknown;
+    Constraint *out = walkScratch.data();
+    std::uint32_t count = 0;
+    std::uint8_t contradiction = 0;
+    std::uint32_t last_store = kNone;
+    std::uint32_t pending_read = kNone; // read since the last own store
 
-void
-WsOrder::close()
-{
-    for (std::size_t loc = 0; loc < locN.size(); ++loc) {
-        const std::uint32_t n = locN[loc];
-        const std::uint32_t words = locWords[loc];
-        std::uint64_t *base = reach.data() + locOffset[loc];
-
-        // Floyd-Warshall-style bitset closure: n is small (stores per
-        // location), so O(n^2) word operations are cheap.
-        for (std::uint32_t k = 0; k < n; ++k) {
-            const std::uint64_t *row_k = base + k * words;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                std::uint64_t *row_i = base + i * words;
-                if ((row_i[k >> 6] >> (k & 63)) & 1) {
-                    for (std::uint32_t w = 0; w < words; ++w)
-                        row_i[w] |= row_k[w];
-                }
-            }
-        }
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint64_t *row_i = base + i * words;
-            if ((row_i[i >> 6] >> (i & 63)) & 1)
-                violation = true;
-        }
-    }
-}
-
-void
-WsOrder::walkThread(const TestProgram &program,
-                    const Execution &execution, std::uint32_t tid)
-{
-    // Walk the thread once, tracking the last store and the last
-    // load-observed value per location, to apply rules (b), (c), (d).
-    // Walks only read the thread's own body and load values, so each
-    // thread's constraint list is independent of every other thread.
-    const auto &body = program.threadBodies()[tid];
-    const std::uint32_t num_locs = program.config().numLocations;
-    std::vector<ThreadConstraint> &cons = threadCons[tid];
-    cons.clear();
-    threadViol[tid] = 0;
-    lastStore.assign(num_locs, std::nullopt);
-    // Last value observed by a load of this thread per location,
-    // and whether a store of this thread intervened since.
-    pendingRead.assign(num_locs, std::nullopt);
-
-    for (std::uint32_t idx = 0; idx < body.size(); ++idx) {
-        const MemOp &mem_op = body[idx];
-        if (mem_op.kind == OpKind::Fence)
-            continue;
-        const std::uint32_t loc = mem_op.loc;
-
-        if (mem_op.kind == OpKind::Store) {
+    for (std::uint32_t k = segBegin[seg]; k < segBegin[seg + 1]; ++k) {
+        const std::uint32_t op = segOps[k];
+        if (op & kStoreOp) {
+            const std::uint32_t to = op & ~kStoreOp;
             // Rule (c): the store follows whatever the last load of
             // this location read.
-            if (pendingRead[loc]) {
-                const std::uint32_t read_value = *pendingRead[loc];
-                std::optional<OpId> w;
-                if (read_value != kInitValue)
-                    w = program.storeForValue(read_value);
-                const std::uint32_t from = indexOf(loc, w);
-                const std::uint32_t to = indexOf(loc, OpId{tid, idx});
-                if (from == to) {
-                    // A load read its own thread's future store.
-                    threadViol[tid] = 1;
-                } else {
-                    cons.push_back({loc, from, to});
-                }
-                pendingRead[loc].reset();
+            if (pending_read != kNone) {
+                if (pending_read == to)
+                    contradiction = 1; // a load read its own future store
+                else
+                    out[count++] = {pending_read, to};
+                pending_read = kNone;
             }
-            lastStore[loc] = OpId{tid, idx};
+            last_store = to;
             continue;
         }
 
-        // Load: find what it observed.
-        const std::uint32_t ordinal =
-            program.loadOrdinal(OpId{tid, idx});
-        const std::uint32_t value = execution.loadValues.at(ordinal);
-        std::optional<OpId> w;
-        if (value != kInitValue) {
-            w = program.storeForValue(value);
-            if (!w) {
-                // Value produced by no store in the test: platform
-                // corruption; treat as a violation.
-                threadViol[tid] = 1;
-                continue;
-            }
+        const std::uint32_t w = loadIndex[op];
+        if (w == StoreIndex::kUnknown) {
+            // Value produced by no store in the test: platform
+            // corruption; treat as a violation.
+            contradiction = 1;
+            continue;
         }
-
         // Rule (b): last same-thread store must be coherence-<= W.
-        if (lastStore[loc] && w != lastStore[loc]) {
-            cons.push_back({loc, indexOf(loc, lastStore[loc]),
-                            indexOf(loc, w)});
-        }
-        if (!w && lastStore[loc]) {
-            // Reading the initial value after this thread stored:
-            // the (b) constraint above targets index 0 and closes a
-            // cycle with the base init-first edges.
-            threadViol[tid] = 1;
-        }
-
-        // Rule (d): CoRR against the previous load of this loc, if
-        // no own store intervened (an intervening store subsumes
-        // the constraint through rules (b)+(c)).
-        if (pendingRead[loc] && *pendingRead[loc] != value) {
-            std::optional<OpId> w_old;
-            if (*pendingRead[loc] != kInitValue)
-                w_old = program.storeForValue(*pendingRead[loc]);
-            cons.push_back({loc, indexOf(loc, w_old), indexOf(loc, w)});
-        }
-        pendingRead[loc] = value;
+        if (last_store != kNone && w != last_store)
+            out[count++] = {last_store, w};
+        // Reading the initial value after this thread stored: the (b)
+        // constraint above targets index 0 and closes a cycle with the
+        // base init-first edges.
+        if (w == 0 && last_store != kNone)
+            contradiction = 1;
+        // Rule (d): CoRR against the previous load of this location, if
+        // no own store intervened (an intervening store subsumes the
+        // constraint through rules (b)+(c)).
+        if (pending_read != kNone && pending_read != w)
+            out[count++] = {pending_read, w};
+        pending_read = w;
     }
+
+    ++walkedSegments;
+    if (segViol[seg] != contradiction) {
+        segViol[seg] = contradiction;
+        if (contradiction)
+            ++violSegs;
+        else
+            --violSegs;
+    }
+    Constraint *stored = cons.data() + 2 * std::size_t(segBegin[seg]);
+    if (count == consCount[seg] && std::equal(out, out + count, stored))
+        return false;
+    std::copy(out, out + count, stored);
+    consCount[seg] = count;
+    return true;
 }
 
 void
-WsOrder::rebuildLoc(std::uint32_t loc)
+WsOrder::seedLoc(std::uint32_t loc)
+{
+    const std::uint32_t n = locN[loc];
+    std::uint64_t *base = reach.data() + locOffset[loc];
+    std::fill(base, base + static_cast<std::size_t>(n) * locWords[loc], 0);
+    // The virtual initial store is index 0 and precedes everything.
+    for (std::uint32_t i = 1; i < n; ++i)
+        base[i >> 6] |= std::uint64_t(1) << (i & 63);
+}
+
+void
+WsOrder::closeLoc(std::uint32_t loc)
 {
     const std::uint32_t n = locN[loc];
     const std::uint32_t words = locWords[loc];
     std::uint64_t *base = reach.data() + locOffset[loc];
-    std::fill(base, base + static_cast<std::size_t>(n) * words, 0);
-
-    // The virtual initial store is index 0 and precedes everything.
-    for (std::uint32_t i = 1; i < n; ++i)
-        base[i >> 6] |= std::uint64_t(1) << (i & 63);
-
-    const auto set_bit = [&](std::uint32_t from, std::uint32_t to) {
-        std::uint64_t *row =
-            base + static_cast<std::size_t>(from) * words;
-        row[to >> 6] |= std::uint64_t(1) << (to & 63);
-    };
-    for (const auto &edge : staticCons[loc])
-        set_bit(edge.first, edge.second);
-    for (const auto &cons : threadCons) {
-        for (const ThreadConstraint &c : cons) {
-            if (c.loc == loc)
-                set_bit(c.from, c.to);
-        }
-    }
 
     // Floyd-Warshall-style bitset closure: n is small (stores per
     // location), so O(n^2) word operations are cheap. The closed bits
-    // depend only on the constraint *set* above, never on insertion
-    // order, which is what makes incremental rebuilds bit-identical.
+    // depend only on the constraint *set*, never on insertion order,
+    // which is what makes incremental rebuilds bit-identical.
     for (std::uint32_t k = 0; k < n; ++k) {
         const std::uint64_t *row_k = base + k * words;
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -234,37 +243,63 @@ WsOrder::rebuildLoc(std::uint32_t loc)
             }
         }
     }
-    locViol[loc] = 0;
+    std::uint8_t cyclic = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint64_t *row_i = base + i * words;
         if ((row_i[i >> 6] >> (i & 63)) & 1)
-            locViol[loc] = 1;
+            cyclic = 1;
+    }
+    if (locViol[loc] != cyclic) {
+        locViol[loc] = cyclic;
+        if (cyclic)
+            ++violLocs;
+        else
+            --violLocs;
     }
 }
 
 void
-WsOrder::recomputeViolation()
+WsOrder::rebuildLoc(std::uint32_t loc)
 {
-    violation = false;
-    for (const std::uint8_t flag : threadViol)
-        violation = violation || flag != 0;
-    for (const std::uint8_t flag : locViol)
-        violation = violation || flag != 0;
+    seedLoc(loc);
+    std::uint64_t *base = reach.data() + locOffset[loc];
+    const std::uint32_t words = locWords[loc];
+    const auto set_bit = [&](const Constraint &c) {
+        std::uint64_t *row = base + static_cast<std::size_t>(c.from) * words;
+        row[c.to >> 6] |= std::uint64_t(1) << (c.to & 63);
+    };
+    for (std::uint32_t k = ruleABegin[loc]; k < ruleABegin[loc + 1]; ++k)
+        set_bit(ruleA[k]);
+    for (std::uint32_t seg = locSegBegin[loc]; seg < locSegBegin[loc + 1];
+         ++seg) {
+        const Constraint *c = cons.data() + 2 * std::size_t(segBegin[seg]);
+        for (std::uint32_t i = 0; i < consCount[seg]; ++i)
+            set_bit(c[i]);
+    }
+    closeLoc(loc);
+    ++closedLocations;
 }
 
 void
 WsOrder::infer(const TestProgram &program, const Execution &execution)
 {
     bindProgram(program);
+    haveState = false; // a throwing resolve leaves no usable state
+    const auto num_loads = static_cast<std::uint32_t>(loadValue.size());
+    if (execution.loadValues.size() < num_loads)
+        throw ConfigError("execution has fewer load values than loads");
 
-    const std::uint32_t num_threads = program.numThreads();
-    for (std::uint32_t tid = 0; tid < num_threads; ++tid)
-        walkThread(program, execution, tid);
+    for (std::uint32_t ordinal = 0; ordinal < num_loads; ++ordinal)
+        resolveLoad(ordinal, execution.loadValues[ordinal]);
+    for (std::uint32_t seg = 0; seg < segLoc.size(); ++seg)
+        walkSegment(seg);
     for (std::uint32_t loc = 0; loc < locN.size(); ++loc) {
-        rebuildLoc(static_cast<std::uint32_t>(loc));
+        rebuildLoc(loc);
         locDirty[loc] = 1;
     }
-    recomputeViolation();
+    std::fill(segQueued.begin(), segQueued.end(), 0);
+    std::fill(locQueued.begin(), locQueued.end(), 0);
+    violation = violSegs != 0 || violLocs != 0;
     haveState = true;
 }
 
@@ -278,28 +313,48 @@ WsOrder::inferDelta(const TestProgram &program,
         infer(program, execution);
         return;
     }
+    if (execution.loadValues.size() < loadValue.size())
+        throw ConfigError("execution has fewer load values than loads");
+    haveState = false;
 
     std::fill(locDirty.begin(), locDirty.end(), 0);
-    std::fill(locPending.begin(), locPending.end(), 0);
 
+    // Segments holding a load whose value changed.
+    segQueue.clear();
     for (std::size_t k = 0; k < n; ++k) {
         const std::uint32_t tid = changed_tids[k];
-        // Copy (not swap) into the scratch: swapping would rotate one
-        // buffer across threads of different sizes and realloc forever,
-        // defeating the steady-state zero-allocation guarantee.
-        oldCons.assign(threadCons[tid].begin(), threadCons[tid].end());
-        walkThread(program, execution, tid);
-        if (threadCons[tid] == oldCons)
-            continue; // same constraints: no location can move
-        for (const ThreadConstraint &c : oldCons)
-            locPending[c.loc] = 1;
-        for (const ThreadConstraint &c : threadCons[tid])
-            locPending[c.loc] = 1;
+        for (std::uint32_t ordinal = threadLoadBegin[tid];
+             ordinal < threadLoadBegin[tid + 1]; ++ordinal) {
+            const std::uint32_t value = execution.loadValues[ordinal];
+            if (value == loadValue[ordinal])
+                continue;
+            resolveLoad(ordinal, value);
+            const std::uint32_t seg = loadSeg[ordinal];
+            if (!segQueued[seg]) {
+                segQueued[seg] = 1;
+                segQueue.push_back(seg);
+            }
+        }
     }
 
-    for (std::uint32_t loc = 0; loc < locN.size(); ++loc) {
-        if (!locPending[loc])
-            continue;
+    // Locations one of whose segments' constraint lists changed.
+    locQueue.clear();
+    for (const std::uint32_t seg : segQueue) {
+        segQueued[seg] = 0;
+        if (!walkSegment(seg))
+            continue; // same constraints: the location cannot move
+        const std::uint32_t loc = segLoc[seg];
+        if (!locQueued[loc]) {
+            locQueued[loc] = 1;
+            locQueue.push_back(loc);
+        }
+    }
+
+    for (const std::uint32_t loc : locQueue) {
+        locQueued[loc] = 0;
+        // Copy (not swap) into the scratch: swapping would rotate one
+        // buffer across locations of different sizes and realloc
+        // forever, defeating the steady-state zero-allocation guarantee.
         const std::size_t row_words =
             static_cast<std::size_t>(locN[loc]) * locWords[loc];
         const std::uint64_t *base = reach.data() + locOffset[loc];
@@ -311,7 +366,8 @@ WsOrder::inferDelta(const TestProgram &program,
             ? 1
             : 0;
     }
-    recomputeViolation();
+    violation = violSegs != 0 || violLocs != 0;
+    haveState = true;
 }
 
 WsOrder
@@ -320,19 +376,24 @@ WsOrder::fromGroundTruth(const TestProgram &program,
 {
     WsOrder order;
     order.bindProgram(program);
-    order.resetOrders();
     if (execution.coherenceOrder.size() !=
         program.config().numLocations) {
         throw ConfigError("execution has no coherence-order ground truth");
     }
     for (std::uint32_t loc = 0; loc < order.locStores.size(); ++loc) {
+        order.seedLoc(loc);
         const auto &total = execution.coherenceOrder[loc];
         for (std::size_t i = 0; i + 1 < total.size(); ++i) {
-            order.addConstraint(loc, order.indexOf(loc, total[i]),
-                                order.indexOf(loc, total[i + 1]));
+            const std::uint32_t from = order.indexOf(loc, total[i]);
+            const std::uint32_t to = order.indexOf(loc, total[i + 1]);
+            std::uint64_t *row = order.reach.data() +
+                order.locOffset[loc] +
+                static_cast<std::size_t>(from) * order.locWords[loc];
+            row[to >> 6] |= std::uint64_t(1) << (to & 63);
         }
+        order.closeLoc(loc);
     }
-    order.close();
+    order.violation = order.violLocs != 0;
     return order;
 }
 

@@ -33,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "graph/store_index.h"
 #include "testgen/execution.h"
 #include "testgen/test_program.h"
 
@@ -44,10 +45,19 @@ namespace mtc
  * initial store). Build either by inference from an execution or from
  * simulator ground truth.
  *
+ * Rules (b)-(d) relate only operations of one thread at one location,
+ * so the inference works per *segment*: the ops of one (thread,
+ * location) pair in program order. A segment's constraints depend on
+ * its own load values alone, and a location's closed order on its own
+ * segments plus rule (a). inferDelta() exploits both: it re-walks only
+ * segments holding a load whose value changed and re-closes only
+ * locations one of whose segments' constraint lists changed.
+ *
  * Built for reuse: infer() resets the order in place, and the
- * per-program layout (store lists, reachability-row geometry) is
- * rebuilt only when the program changes, so re-inferring over the
- * unique signatures of one test touches no allocator in steady state.
+ * per-program tables (store lists, segments, reachability-row
+ * geometry) are rebuilt only when the program changes, so re-inferring
+ * over the unique signatures of one test touches no allocator in
+ * steady state.
  */
 class WsOrder
 {
@@ -71,13 +81,13 @@ class WsOrder
      * Incrementally re-infer from @p execution when only the threads
      * in [changed_tids, changed_tids + n) may have different load
      * values than the execution of the previous infer()/inferDelta()
-     * on this object: only those threads are re-walked, and only
-     * locations whose constraint set moved are re-closed. Falls back
-     * to a full infer() when there is no previous state or the
-     * program changed. Bit-identical to infer() — the closed reach
-     * bits depend only on the constraint *set*, and per-thread walks
-     * are independent, so re-walking unchanged threads cannot change
-     * anything.
+     * on this object: only the segments of those threads holding a
+     * load whose value changed are re-walked, and only locations whose
+     * constraint set moved are re-closed. Falls back to a full infer()
+     * when there is no previous state or the program changed.
+     * Bit-identical to infer() — the closed reach bits depend only on
+     * the constraint *set*, and segment walks are independent, so
+     * re-walking unchanged segments cannot change anything.
      */
     void inferDelta(const TestProgram &program,
                     const Execution &execution,
@@ -134,55 +144,65 @@ class WsOrder
      */
     std::uint32_t indexOf(std::uint32_t loc, std::optional<OpId> w) const;
 
+    /**
+     * Closed reach row of order index @p from at @p loc: bit j of word
+     * j / 64 is set iff @p from is coherence-before index j. A row has
+     * (storesAt(loc).size() + 64) / 64 words.
+     */
+    const std::uint64_t *
+    reachRow(std::uint32_t loc, std::uint32_t from) const
+    {
+        return reach.data() + locOffset[loc] +
+            static_cast<std::size_t>(from) * locWords[loc];
+    }
+
     /** before() on raw order indices (0 = virtual initial store). */
     bool
     orderedByIndex(std::uint32_t loc, std::uint32_t from,
                    std::uint32_t to) const
     {
-        const std::uint64_t *row =
-            reach.data() + locOffset[loc] +
-            static_cast<std::size_t>(from) * locWords[loc];
-        return (row[to >> 6] >> (to & 63)) & 1;
+        return (reachRow(loc, from)[to >> 6] >> (to & 63)) & 1;
     }
 
+    // --- Work counters (cumulative since construction) -----------------
+
+    /** (thread, location) segments walked by rules (b)-(d). */
+    std::uint64_t segmentsWalked() const { return walkedSegments; }
+
+    /** Locations whose order was rebuilt and transitively closed. */
+    std::uint64_t locationsClosed() const { return closedLocations; }
+
   private:
-    /** One rule-(b)/(c)/(d) constraint discovered by a thread walk. */
-    struct ThreadConstraint
+    /** One rule-(b)/(c)/(d) constraint at a segment's location. */
+    struct Constraint
     {
-        std::uint32_t loc = 0;
         std::uint32_t from = 0;
         std::uint32_t to = 0;
 
-        bool
-        operator==(const ThreadConstraint &other) const
-        {
-            return loc == other.loc && from == other.from &&
-                to == other.to;
-        }
+        bool operator==(const Constraint &) const = default;
     };
 
-    /** Rebuild the per-program layout when the program changed. */
+    /** Rebuild the per-program tables when the program changed. */
     void bindProgram(const TestProgram &program);
 
-    /** Zero all reachability bits, seed init-store edges. */
-    void resetOrders();
+    /** Record load @p ordinal's value and resolve its order index. */
+    void resolveLoad(std::uint32_t ordinal, std::uint32_t value);
 
-    void addConstraint(std::uint32_t loc, std::uint32_t from,
-                       std::uint32_t to);
+    /**
+     * Re-derive one segment's constraints and contradiction flag from
+     * the resolved load indices; true when its constraint list changed.
+     */
+    bool walkSegment(std::uint32_t seg);
 
-    /** Transitive closure of every per-location order. */
-    void close();
+    /** Zero @p loc's rows and seed the virtual-initial-store row. */
+    void seedLoc(std::uint32_t loc);
 
-    /** Re-derive threadCons/threadViol of one thread from scratch. */
-    void walkThread(const TestProgram &program,
-                    const Execution &execution, std::uint32_t tid);
+    /** Transitively close @p loc's rows and refresh its violation. */
+    void closeLoc(std::uint32_t loc);
 
-    /** Rebuild and re-close one location's order from the cached
-     * constraint lists (zero rows, seed init, apply, closure). */
+    /** Rebuild and re-close one location's order from rule (a) and
+     * the constraint lists of its own segments. */
     void rebuildLoc(std::uint32_t loc);
-
-    /** violation = any thread-walk or per-location contradiction. */
-    void recomputeViolation();
 
     bool bound = false;
     std::uint64_t boundFingerprint = 0;
@@ -194,30 +214,54 @@ class WsOrder
     std::vector<std::uint32_t> locN;
     std::vector<std::uint32_t> locWords;
     std::vector<std::size_t> locOffset;
-    std::size_t reachSize = 0;
 
     /** reach bit (loc, i, j): i coherence-before j. */
     std::vector<std::uint64_t> reach;
 
-    // Per-thread walk scratch of infer(), reused across threads/calls.
-    std::vector<std::optional<OpId>> lastStore;
-    std::vector<std::optional<std::uint32_t>> pendingRead;
+    // Per-program tables, built by count-then-fill. Segments are
+    // numbered in (location, thread) order; a location's are
+    // [locSegBegin[loc], locSegBegin[loc + 1]). A segment's ops are
+    // segOps[segBegin[s] .. segBegin[s + 1]): a store as kStoreOp | its
+    // order index, a load as its ordinal. Its constraints live in
+    // cons[2 * segBegin[s] ...] — a store adds at most one (rule c), a
+    // load at most two (rules b and d).
+    static constexpr std::uint32_t kStoreOp = 0x80000000u;
+    StoreIndex storeIndex;
+    std::vector<std::uint32_t> segLoc;
+    std::vector<std::uint32_t> segBegin;
+    std::vector<std::uint32_t> segOps;
+    std::vector<std::uint32_t> locSegBegin;
+    std::vector<std::uint32_t> ruleABegin;  ///< rule-(a) pairs of a loc
+    std::vector<Constraint> ruleA;
+    std::vector<std::uint32_t> loadSeg;     ///< [ordinal] segment
+    std::vector<std::uint32_t> threadLoadBegin; ///< ordinals of a thread
 
-    // Incremental state: rule-(a) constraints per location (program
-    // property), the last walk's constraints/contradiction per thread,
-    // and per-location violation/changed flags from the last closure.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        staticCons;
-    std::vector<std::vector<ThreadConstraint>> threadCons;
-    std::vector<std::uint8_t> threadViol;
+    // Inference state: each load's last value and resolved order index,
+    // each segment's constraints and contradiction, each location's
+    // violation and changed flags, and the violation counts.
+    std::vector<std::uint32_t> loadValue;
+    std::vector<std::uint32_t> loadIndex;
+    std::vector<Constraint> cons;
+    std::vector<std::uint32_t> consCount;
+    std::vector<std::uint8_t> segViol;
     std::vector<std::uint8_t> locViol;
     std::vector<std::uint8_t> locDirty;
-    std::vector<std::uint8_t> locPending;      ///< delta scratch
-    std::vector<ThreadConstraint> oldCons;     ///< delta scratch
-    std::vector<std::uint64_t> prevRows;       ///< delta scratch
+    std::uint32_t violSegs = 0;
+    std::uint32_t violLocs = 0;
+
+    // Delta scratch, sized at bind so steady state never allocates.
+    std::vector<std::uint8_t> segQueued;
+    std::vector<std::uint8_t> locQueued;
+    std::vector<std::uint32_t> segQueue;
+    std::vector<std::uint32_t> locQueue;
+    std::vector<Constraint> walkScratch;
+    std::vector<std::uint64_t> prevRows;
     bool haveState = false; ///< an infer() ran since the last bind
 
     bool violation = false;
+
+    std::uint64_t walkedSegments = 0;
+    std::uint64_t closedLocations = 0;
 };
 
 } // namespace mtc

@@ -63,10 +63,18 @@ TestProgram::rebuildIndex()
         contentHash ^= x;
         contentHash *= 1099511628211ull;
     };
+    // The shape goes in too: a load carries no value, so the same op
+    // sequence split differently across threads, or laid out over a
+    // different location count or line packing (lineOf), must not
+    // share a fingerprint with it.
+    mix(threads.size());
+    mix(cfg.numLocations);
+    mix(cfg.wordsPerLine);
 
     for (std::uint32_t tid = 0; tid < threads.size(); ++tid) {
         threadBase[tid] = totalOps;
         totalOps += static_cast<std::uint32_t>(threads[tid].size());
+        mix(threads[tid].size());
         for (std::uint32_t idx = 0; idx < threads[tid].size(); ++idx) {
             const MemOp &mem_op = threads[tid][idx];
             const OpId id{tid, idx};

@@ -151,10 +151,12 @@ class TestProgram
     std::string toString() const;
 
     /**
-     * Content hash over every operation (kind, location, value).
-     * Used to key caches of per-program derived structures: pointer
-     * identity alone is unsafe because short-lived programs can reuse
-     * an address.
+     * Content hash over the program's shape (thread count, each
+     * thread's op count, numLocations, wordsPerLine) and every
+     * operation (kind, location, value). Used to key caches of
+     * per-program derived structures: pointer identity alone is unsafe
+     * because short-lived programs can reuse an address. Never
+     * persisted.
      */
     std::uint64_t fingerprint() const { return contentHash; }
 

@@ -379,19 +379,23 @@ TEST(ZeroAllocation, DecodeAndEdgeDerivationSteadyState)
     EXPECT_EQ(allocationsNow() - before, 0u);
 }
 
-TEST(ZeroAllocation, StreamingCheckSteadyState)
+/**
+ * The whole streaming post-execution path — delta decode, incremental
+ * ws inference, edge-diff derivation, and the diff-fed collective
+ * checker — must be allocation-free once its buffers have seen the
+ * signature sequence.
+ */
+void
+expectStreamingCheckSteadyState(const char *config, std::uint64_t seed,
+                                std::uint64_t run_seed)
 {
-    // The whole streaming post-execution path — delta decode,
-    // incremental ws inference, edge-diff derivation, and the diff-fed
-    // collective checker — must be allocation-free once its buffers
-    // have seen the signature sequence.
     const TestProgram program =
-        generateTest(parseConfigName("x86-4-50-16"), 7);
+        generateTest(parseConfigName(config), seed);
     const LoadValueAnalysis analysis(program);
     const InstrumentationPlan plan(program, analysis);
     const SignatureCodec codec(program, analysis, plan);
-    OperationalExecutor platform(bareMetalConfig(Isa::X86));
-    Rng rng(21);
+    OperationalExecutor platform(bareMetalConfig(program.config().isa));
+    Rng rng(run_seed);
     RunArena arena;
     std::set<Signature> unique;
     for (int i = 0; i < 64; ++i) {
@@ -405,7 +409,7 @@ TEST(ZeroAllocation, StreamingCheckSteadyState)
     WsOrder ws;
     EdgeDeriver deriver(program);
     EdgeDiff diff;
-    CollectiveChecker checker(program, MemoryModel::TSO);
+    CollectiveChecker checker(program, program.config().model());
     const auto pass = [&] {
         for (const Signature &signature : sorted) {
             const Execution &exec = stream.next(signature);
@@ -423,6 +427,18 @@ TEST(ZeroAllocation, StreamingCheckSteadyState)
     const std::uint64_t before = allocationsNow();
     pass();
     EXPECT_EQ(allocationsNow() - before, 0u);
+}
+
+TEST(ZeroAllocation, StreamingCheckSteadyState)
+{
+    expectStreamingCheckSteadyState("x86-4-50-16", 7, 21);
+}
+
+TEST(ZeroAllocation, StreamingCheckSteadyStateSevenThreads)
+{
+    // Seven threads change the most loads per step, so the per-step
+    // queues and diff buffers reach their largest high-water marks.
+    expectStreamingCheckSteadyState("ARM-7-100-64", 7, 21);
 }
 
 // --- Reusable decode paths match their one-shot forms -----------------

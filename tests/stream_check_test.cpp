@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,9 +21,11 @@
 #include "core/load_analysis.h"
 #include "core/signature_codec.h"
 #include "graph/graph_builder.h"
+#include "harness/campaign_plan.h"
 #include "harness/validation_flow.h"
 #include "sim/executor.h"
 #include "testgen/generator.h"
+#include "ws_reference.h"
 
 namespace mtc
 {
@@ -88,6 +92,103 @@ expectSameFlowResult(const FlowResult &a, const FlowResult &b)
 
 // --- Incremental edge derivation ≡ from-scratch dynamicEdges ----------
 
+/**
+ * Drives the incremental pipeline — WsOrder::inferDelta,
+ * EdgeDeriver::derive and the diff-fed collective checker — one
+ * execution at a time and checks every step against from-scratch
+ * oracles: the reference ws inference (every reach bit, the violation
+ * flag, locChanged), dynamicEdges (the maintained edge list and its
+ * violation flag), and a collective checker fed the from-scratch edge
+ * lists (verdicts; stats at finish()).
+ */
+class OracleStream
+{
+  public:
+    OracleStream(const TestProgram &program_arg, MemoryModel model)
+        : program(program_arg), deriver(program_arg),
+          diffed(program_arg, model), full(program_arg, model)
+    {}
+
+    /** One step; @p changed lists the threads whose values may differ
+     * from the previous step's. Returns the diff-fed verdict. */
+    bool
+    step(const Execution &exec, const std::vector<std::uint32_t> &changed)
+    {
+        ws.inferDelta(program, exec, changed.data(), changed.size());
+        deriver.derive(exec, ws, changed.data(), changed.size(), diff);
+        applyEdgeDiff(maintained, diff, scratch);
+
+        ReferenceWsOrder ref;
+        ref.infer(program, exec);
+        expectMatchesReference(ws, ref, steps ? &prev : nullptr,
+                               program.config().numLocations);
+        prev = ref;
+
+        const DynamicEdgeSet oracle = dynamicEdges(program, exec);
+        EXPECT_EQ(maintained, oracle.edges) << "step " << steps;
+        EXPECT_EQ(diff.coherenceViolation, oracle.coherenceViolation);
+        EXPECT_EQ(diff.coherenceViolation, ref.coherenceViolation());
+
+        const bool verdict = diffed.checkNextDiff(diff);
+        EXPECT_EQ(verdict, full.checkNext(oracle)) << "step " << steps;
+        ++steps;
+        violations += verdict ? 1 : 0;
+        return verdict;
+    }
+
+    /** Step through @p signatures with a delta decoder; a corrupt one
+     * must throw and is skipped, as the flow quarantines it. */
+    void
+    decodeAll(const SignatureCodec &codec,
+              const std::vector<Signature> &signatures)
+    {
+        StreamDecoder stream(codec);
+        for (const Signature &signature : signatures) {
+            const Execution *exec = nullptr;
+            try {
+                exec = &stream.next(signature);
+            } catch (const SignatureDecodeError &) {
+                ++quarantined;
+                continue;
+            }
+            step(*exec, stream.changedThreads());
+        }
+    }
+
+    void finish() const { expectSameStats(diffed.stats(), full.stats()); }
+
+    std::uint64_t steps = 0;
+    std::uint64_t violations = 0;
+    std::uint64_t quarantined = 0;
+
+  private:
+    const TestProgram &program;
+    WsOrder ws;
+    EdgeDeriver deriver;
+    EdgeDiff diff;
+    std::vector<Edge> maintained; // full list kept current via diffs
+    std::vector<Edge> scratch;
+    ReferenceWsOrder prev;
+    CollectiveChecker diffed;
+    CollectiveChecker full;
+};
+
+/** Threads whose load values differ between @p a and @p b. */
+std::vector<std::uint32_t>
+changedThreads(const TestProgram &program, const Execution &a,
+               const Execution &b)
+{
+    std::vector<std::uint32_t> changed;
+    for (std::uint32_t ordinal = 0; ordinal < program.loads().size();
+         ++ordinal) {
+        const std::uint32_t tid = program.loads()[ordinal].tid;
+        if (a.loadValues[ordinal] != b.loadValues[ordinal] &&
+            (changed.empty() || changed.back() != tid))
+            changed.push_back(tid);
+    }
+    return changed;
+}
+
 class IncrementalEdges : public ::testing::TestWithParam<const char *>
 {};
 
@@ -103,30 +204,10 @@ TEST_P(IncrementalEdges, MatchesFromScratchDerivation)
         sortedUniques(program, codec, exec, 91, 96);
     ASSERT_GT(sorted.size(), 3u);
 
-    StreamDecoder stream(codec);
-    WsOrder ws;
-    EdgeDeriver deriver(program);
-    EdgeDiff diff;
-    std::vector<Edge> maintained; // full list kept current via diffs
-    std::vector<Edge> scratch;
-    for (const Signature &signature : sorted) {
-        const Execution &exec_delta = stream.next(signature);
-        const std::vector<std::uint32_t> &changed =
-            stream.changedThreads();
-        ws.inferDelta(program, exec_delta, changed.data(),
-                      changed.size());
-        deriver.derive(exec_delta, ws, changed.data(), changed.size(),
-                       diff);
-        applyEdgeDiff(maintained, diff, scratch);
-
-        // Oracle: full decode, fresh inference, from-scratch edges.
-        const DynamicEdgeSet oracle =
-            dynamicEdges(program, codec.decode(signature));
-        std::vector<Edge> oracle_sorted = oracle.edges;
-        std::sort(oracle_sorted.begin(), oracle_sorted.end());
-        EXPECT_EQ(maintained, oracle_sorted);
-        EXPECT_EQ(diff.coherenceViolation, oracle.coherenceViolation);
-    }
+    OracleStream oracle(program, cfg.model());
+    oracle.decodeAll(codec, sorted);
+    EXPECT_EQ(oracle.steps, sorted.size());
+    oracle.finish();
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, IncrementalEdges,
@@ -140,6 +221,155 @@ INSTANTIATE_TEST_SUITE_P(Models, IncrementalEdges,
                                      c = '_';
                              return name;
                          });
+
+/** One unit of the campaign `--config x86-4-50-8 --platform mesi
+ * --bug lsq --bug-prob 0.5 --tests 4 --iterations 1024 --seed 3`. */
+struct BuggyUnit
+{
+    TestProgram program;
+    std::vector<Signature> sorted;
+    std::uint64_t violatingSignatures = 0;
+};
+
+std::vector<BuggyUnit>
+lsqBugUnits()
+{
+    const TestConfig cfg = parseConfigName("x86-4-50-8");
+    CampaignConfig campaign;
+    campaign.iterations = 1024;
+    campaign.testsPerConfig = 4;
+    campaign.seed = 3;
+    campaign.variant = PlatformVariant::Mesi;
+    campaign.bug = BugKind::LsqNoSquash;
+    campaign.bugProbability = 0.5;
+    campaign.keepSignatureStreams = true;
+    const FlowConfig flow = flowTemplate(cfg, campaign);
+    std::vector<BuggyUnit> units;
+    const std::vector<TestPlan> plans = deriveTestPlans(cfg, campaign);
+    for (unsigned i = 0; i < plans.size(); ++i) {
+        const TestOutcome outcome =
+            runPlannedTest(cfg, flow, plans[i], campaign, i, nullptr);
+        EXPECT_TRUE(outcome.ok);
+        EXPECT_EQ(outcome.retriesUsed, 0u);
+        BuggyUnit unit{generateTest(cfg, plans[i].genSeed), {},
+                       outcome.result.violatingSignatures};
+        for (const SignatureCount &entry : outcome.result.signatureStream)
+            unit.sorted.push_back(entry.signature);
+        units.push_back(std::move(unit));
+    }
+    return units;
+}
+
+TEST(IncrementalEdgesAdversarial, ViolatingMesiStreamSortedAndShuffled)
+{
+    // The LSQ no-squash bug makes load->load reorderings visible, so
+    // the stream carries cyclic graphs and contradicted coherence
+    // orders — the states a bare-metal stream never reaches.
+    std::uint64_t violating = 0;
+    for (const BuggyUnit &unit : lsqBugUnits()) {
+        const LoadValueAnalysis analysis(unit.program);
+        const InstrumentationPlan plan(unit.program, analysis);
+        const SignatureCodec codec(unit.program, analysis, plan);
+
+        OracleStream sorted(unit.program, unit.program.config().model());
+        sorted.decodeAll(codec, unit.sorted);
+        sorted.finish();
+        EXPECT_EQ(sorted.violations, unit.violatingSignatures);
+        violating += sorted.violations;
+
+        // Out of order, adjacent signatures share fewer slices and the
+        // delta steps span many threads and locations at once.
+        std::vector<Signature> shuffled = unit.sorted;
+        std::shuffle(shuffled.begin(), shuffled.end(),
+                     std::mt19937_64(unit.sorted.size()));
+        OracleStream unsorted(unit.program, unit.program.config().model());
+        unsorted.decodeAll(codec, shuffled);
+        unsorted.finish();
+        EXPECT_EQ(unsorted.violations, sorted.violations);
+    }
+    EXPECT_GT(violating, 0u); // 1321 when written
+}
+
+TEST(IncrementalEdgesAdversarial, CorruptSignatureBetweenGoodOnes)
+{
+    const TestProgram program =
+        generateTest(parseConfigName("ARM-4-50-16"), 6);
+    const LoadValueAnalysis analysis(program);
+    const InstrumentationPlan plan(program, analysis);
+    const SignatureCodec codec(program, analysis, plan);
+    const std::vector<Signature> sorted = sortedUniques(
+        program, codec, bareMetalConfig(Isa::ARMv7), 5, 64);
+    ASSERT_GT(sorted.size(), 4u);
+
+    // A word past every accumulated weight fails to decode mid-stream;
+    // the decoder has then re-decoded some threads without a
+    // successful step, which the next changed-thread list must cover.
+    std::vector<Signature> stream;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        stream.push_back(sorted[i]);
+        if (i % 3 == 1) {
+            Signature corrupt = sorted[i];
+            corrupt.words[corrupt.words.size() / 2] = ~std::uint64_t(0);
+            stream.push_back(corrupt);
+        }
+    }
+    OracleStream oracle(program, program.config().model());
+    oracle.decodeAll(codec, stream);
+    EXPECT_EQ(oracle.steps, sorted.size());
+    EXPECT_GT(oracle.quarantined, 0u);
+    oracle.finish();
+}
+
+TEST(IncrementalEdgesAdversarial, ImpossibleLoadValues)
+{
+    // Hand-made executions a decoder never yields: a load of a value
+    // no store wrote, and a load of the initial value after its own
+    // thread's store to that location, each between legal executions.
+    const TestProgram program =
+        generateTest(parseConfigName("x86-4-50-8"), 12);
+    OperationalExecutor platform(bareMetalConfig(Isa::X86));
+    Rng rng(4);
+    std::vector<Execution> legal;
+    for (int i = 0; i < 6; ++i)
+        legal.push_back(platform.run(program, rng));
+
+    std::optional<std::uint32_t> after_own_store;
+    for (std::uint32_t ordinal = 0;
+         ordinal < program.loads().size() && !after_own_store; ++ordinal) {
+        const OpId load = program.loads()[ordinal];
+        for (std::uint32_t idx = 0; idx < load.idx; ++idx) {
+            const MemOp &op = program.op({load.tid, idx});
+            if (op.kind == OpKind::Store && op.loc == program.op(load).loc)
+                after_own_store = ordinal;
+        }
+    }
+    ASSERT_TRUE(after_own_store.has_value());
+
+    std::vector<Execution> sequence;
+    for (std::size_t i = 0; i < legal.size(); ++i) {
+        sequence.push_back(legal[i]);
+        Execution bad = legal[i];
+        if (i % 2 == 0)
+            bad.loadValues[(i * 7) % bad.loadValues.size()] = 0x00c0ffeeu;
+        else
+            bad.loadValues[*after_own_store] = kInitValue;
+        sequence.push_back(bad);
+    }
+
+    OracleStream oracle(program, program.config().model());
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+        std::vector<std::uint32_t> changed;
+        for (std::uint32_t tid = 0; tid < program.numThreads(); ++tid)
+            changed.push_back(tid); // the first step infers from scratch
+        if (i > 0)
+            changed = changedThreads(program, sequence[i - 1], sequence[i]);
+        const bool verdict = oracle.step(sequence[i], changed);
+        if (i % 2 == 1) {
+            EXPECT_TRUE(verdict) << "step " << i;
+        }
+    }
+    oracle.finish();
+}
 
 // --- checkNextDiff ≡ checkNext ----------------------------------------
 

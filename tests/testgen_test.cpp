@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
+#include "graph/ws_inference.h"
+#include "sim/executor.h"
 #include "support/error.h"
 #include "testgen/generator.h"
 #include "testgen/test_config.h"
@@ -281,6 +284,115 @@ TEST(TestProgram, ToStringListsOps)
     EXPECT_NE(text.find("thread 1"), std::string::npos);
     EXPECT_NE(text.find("ld"), std::string::npos);
     EXPECT_NE(text.find("st"), std::string::npos);
+}
+
+/**
+ * The ops `st loc0; ld loc<second_loc>; ld loc0`, the first @p split
+ * on thread 0 and the rest on thread 1. Loads carry no value, so when
+ * the fingerprint hashed ops alone, every split and every location
+ * count of one sequence shared a fingerprint.
+ */
+TestProgram
+splitOps(const char *config, std::uint32_t second_loc, std::size_t split)
+{
+    MemOp st;
+    st.kind = OpKind::Store;
+    st.loc = 0;
+    st.value = storeValue(OpId{0, 0});
+    MemOp ld_second;
+    ld_second.kind = OpKind::Load;
+    ld_second.loc = second_loc;
+    MemOp ld0;
+    ld0.kind = OpKind::Load;
+    ld0.loc = 0;
+    const std::vector<MemOp> ops{st, ld_second, ld0};
+    std::vector<std::vector<MemOp>> threads(2);
+    threads[0].assign(ops.begin(), ops.begin() + split);
+    threads[1].assign(ops.begin() + split, ops.end());
+    return TestProgram(parseConfigName(config), std::move(threads));
+}
+
+TEST(TestProgram, FingerprintCoversShape)
+{
+    const TestProgram a = splitOps("x86-2-2-4", 1, 2);
+    const TestProgram b = splitOps("x86-2-2-4", 1, 1);
+    const TestProgram c = splitOps("x86-2-2-8", 1, 2);
+    TestConfig packed = parseConfigName("x86-2-2-4");
+    packed.wordsPerLine = 2;
+    const TestProgram d(packed, a.threadBodies());
+    const std::set<std::uint64_t> prints{a.fingerprint(), b.fingerprint(),
+                                         c.fingerprint(), d.fingerprint()};
+    EXPECT_EQ(prints.size(), 4u);
+    EXPECT_EQ(a.fingerprint(), splitOps("x86-2-2-4", 1, 2).fingerprint());
+}
+
+TEST(TestProgram, ReusedExecutorMatchesFreshAcrossShapes)
+{
+    // Executors cache per-program tables (thread-locally) under the
+    // fingerprint, so a collision served one program's tables to the
+    // other. The fresh runs happen on a thread whose caches never saw
+    // program a.
+    const TestProgram a = splitOps("x86-2-2-4", 1, 2);
+    const TestProgram b = splitOps("x86-2-2-4", 1, 1);
+    const ExecutorConfig exec = bareMetalConfig(Isa::X86);
+    constexpr std::uint64_t kSeeds = 200;
+    std::vector<std::vector<std::uint32_t>> fresh(kSeeds);
+    std::thread([&] {
+        OperationalExecutor platform(exec);
+        for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+            Rng rng(seed);
+            fresh[seed] = platform.run(b, rng).loadValues;
+        }
+    }).join();
+
+    OperationalExecutor reused(exec);
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        Rng rng_a(seed);
+        reused.run(a, rng_a);
+        Rng rng(seed);
+        EXPECT_EQ(reused.run(b, rng).loadValues, fresh[seed])
+            << "seed " << seed;
+    }
+}
+
+TEST(TestProgram, ReusedWsOrderMatchesFreshAcrossShapes)
+{
+    // WsOrder caches its segment tables under the fingerprint. Here the
+    // split decides whether the two loc-0 loads share a thread (rule d
+    // applies) or follow the store on thread 0 (rules b and c apply).
+    const TestProgram p = splitOps("x86-2-2-4", 0, 2);
+    const TestProgram q = splitOps("x86-2-2-4", 0, 1);
+    const std::uint32_t v = storeValue(OpId{0, 0});
+    const std::uint32_t all[] = {0, 1};
+    WsOrder reused;
+    for (const bool delta : {false, true}) {
+        for (const auto &values :
+             {std::vector<std::uint32_t>{v, kInitValue},
+              std::vector<std::uint32_t>{kInitValue, v},
+              std::vector<std::uint32_t>{v, v}}) {
+            Execution on_p;
+            on_p.loadValues = {v, v};
+            reused.infer(p, on_p);
+            Execution on_q;
+            on_q.loadValues = values;
+            if (delta)
+                reused.inferDelta(q, on_q, all, 2);
+            else
+                reused.infer(q, on_q);
+            const WsOrder fresh(q, on_q);
+            EXPECT_EQ(reused.coherenceViolation(),
+                      fresh.coherenceViolation());
+            for (std::uint32_t loc = 0; loc < 4; ++loc) {
+                const std::uint32_t n =
+                    static_cast<std::uint32_t>(fresh.storesAt(loc).size());
+                ASSERT_EQ(reused.storesAt(loc).size(), n);
+                for (std::uint32_t i = 0; i <= n; ++i)
+                    for (std::uint32_t j = 0; j <= n; ++j)
+                        EXPECT_EQ(reused.orderedByIndex(loc, i, j),
+                                  fresh.orderedByIndex(loc, i, j));
+            }
+        }
+    }
 }
 
 } // anonymous namespace

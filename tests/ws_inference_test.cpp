@@ -13,6 +13,7 @@
 #include "sim/executor.h"
 #include "testgen/generator.h"
 #include "testgen/litmus.h"
+#include "ws_reference.h"
 
 namespace mtc
 {
@@ -225,6 +226,53 @@ TEST(WsInference, RejectsForeignStoreQuery)
     WsOrder order(program, execution);
     // OpId{0,0} stores loc 0; querying it against loc 1 must throw.
     EXPECT_THROW(order.before(1, OpId{0, 0}, std::nullopt), ConfigError);
+}
+
+TEST(WsInference, DeltaMatchesReferenceOnRandomValues)
+{
+    // Random load values (any store to the load's location, the
+    // initial value, or a value no store wrote) reach coherence states
+    // no executor produces. Each step re-draws the values of a random
+    // subset of threads; inferDelta must match the whole-thread
+    // reference walk bit for bit and flag every location that moved.
+    TestConfig cfg;
+    cfg.numThreads = 4;
+    cfg.opsPerThread = 40;
+    cfg.numLocations = 6;
+    const TestProgram program = generateTest(cfg, 17);
+    Rng rng(99);
+    Execution exec;
+    exec.loadValues.assign(program.loads().size(), kInitValue);
+    const auto draw = [&](std::uint32_t ordinal) {
+        const auto &stores =
+            program.storesTo(program.op(program.loads()[ordinal]).loc);
+        const std::uint64_t pick = rng.nextBelow(stores.size() + 8);
+        if (pick < stores.size())
+            return program.op(stores[pick]).value;
+        return pick == stores.size() ? 0x00badbadu : kInitValue;
+    };
+
+    WsOrder ws;
+    ReferenceWsOrder prev;
+    for (int step = 0; step < 300; ++step) {
+        std::vector<std::uint32_t> changed;
+        for (std::uint32_t tid = 0; tid < cfg.numThreads; ++tid) {
+            if (step > 0 && rng.nextBelow(3) != 0)
+                continue;
+            changed.push_back(tid);
+            for (const OpId load : program.loadsOfThread(tid)) {
+                const std::uint32_t ordinal = program.loadOrdinal(load);
+                if (rng.nextBelow(4) == 0)
+                    exec.loadValues[ordinal] = draw(ordinal);
+            }
+        }
+        ws.inferDelta(program, exec, changed.data(), changed.size());
+        ReferenceWsOrder ref;
+        ref.infer(program, exec);
+        expectMatchesReference(ws, ref, step ? &prev : nullptr,
+                               cfg.numLocations);
+        prev = ref;
+    }
 }
 
 } // anonymous namespace

@@ -90,8 +90,11 @@ grep -q '"deterministic": true' BENCH_hotpath.smoke.json
 # digests and the fault/quarantine accounting included — must be
 # byte-identical, and so must the exit codes; this is the streamed vs
 # barrier vs offline bit-identity gate end to end, in the plain,
-# sanitized, and SIMD trees. (The overlapped decode→check pipeline
-# is gated by stream_check_test's windows x threads matrix.)
+# sanitized, and SIMD trees. A second leg runs a campaign with a real
+# MESI LSQ bug the same four ways (offline at 1 and 4 threads), each
+# exiting 2 with identical campaign lines. (The overlapped
+# decode→check pipeline is gated by stream_check_test's windows x
+# threads matrix.)
 stream_smoke() {
     local bin_dir="$1" tag="$2"
     local validate="${bin_dir}/tools/mtc_validate"
@@ -117,6 +120,31 @@ stream_smoke() {
     [ "${offline_rc}" -eq "${stream_rc}" ]
     diff <(grep '^campaign' "${streamed}") \
          <(grep '^campaign' "${offline}")
+    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
+
+    # Violating leg: a real LSQ bug on the MESI platform puts cyclic
+    # graphs and contradicted coherence orders through the incremental
+    # ws inference and edge derivation. Streamed, barrier, and offline
+    # at 1 and 4 threads must all confirm the violation (exit 2) with
+    # identical campaign lines.
+    local vargs=(--config x86-4-50-8 --platform mesi --bug lsq
+                 --bug-prob 0.5 --tests 4 --iterations 1024 --seed 3)
+    local rc=0
+    MTC_DUMP_TRACE="${trace}" "${validate}" "${vargs[@]}" \
+        > "${streamed}" || rc=$?
+    [ "${rc}" -eq 2 ]
+    rc=0
+    "${validate}" "${vargs[@]}" --no-stream-check > "${barrier}" || rc=$?
+    [ "${rc}" -eq 2 ]
+    diff <(grep '^campaign' "${streamed}") <(grep '^campaign' "${barrier}")
+    for threads in 1 4; do
+        rc=0
+        "${bin_dir}/tools/mtc_check" "${trace}" --threads "${threads}" \
+            > "${offline}" || rc=$?
+        [ "${rc}" -eq 2 ]
+        diff <(grep '^campaign' "${streamed}") \
+             <(grep '^campaign' "${offline}")
+    done
     rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
 }
 
