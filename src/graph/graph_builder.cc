@@ -168,7 +168,6 @@ applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
 
 EdgeDeriver::EdgeDeriver(const TestProgram &program)
 {
-    storeIndex.build(program);
     const auto &loads = program.loads();
     const auto num_loads = static_cast<std::uint32_t>(loads.size());
     const std::uint32_t num_locs = program.config().numLocations;
@@ -215,8 +214,7 @@ EdgeDeriver::EdgeDeriver(const TestProgram &program)
     }
     rows.assign(total, 0);
 
-    loadValue.assign(num_loads, 0);
-    loadWriter.assign(num_loads, StoreIndex::kUnknown);
+    loadWriter.assign(num_loads, WsOrder::kNoWriter);
     loadQueued.assign(num_loads, 0);
     loadQueue.reserve(num_loads);
     fromStart.assign(program.numOps() + 1, 0);
@@ -285,7 +283,7 @@ EdgeDeriver::diffLoad(std::uint32_t ordinal, std::uint32_t w_old,
     const std::uint32_t vertex = loadVertex[ordinal];
     const std::uint32_t stores = locStoreBegin[loc];
     const auto rf_from = [&](std::uint32_t w, std::uint32_t &from) {
-        if (w == StoreIndex::kUnknown || w == 0 ||
+        if (w == WsOrder::kNoWriter || w == 0 ||
             storeTid[stores + w - 1] == loadTid[ordinal]) {
             return false;
         }
@@ -303,7 +301,7 @@ EdgeDeriver::diffLoad(std::uint32_t ordinal, std::uint32_t w_old,
     const std::uint32_t words = locWords[loc];
     const auto row_of = [words](const std::uint64_t *base,
                                 std::uint32_t w) -> const std::uint64_t * {
-        return base == nullptr || w == StoreIndex::kUnknown
+        return base == nullptr || w == WsOrder::kNoWriter
             ? nullptr
             : base + static_cast<std::size_t>(w) * words;
     };
@@ -367,13 +365,15 @@ EdgeDeriver::derive(const Execution &execution, const WsOrder &ws,
     out.coherenceViolation = ws.coherenceViolation();
     rawRemoved.clear();
     rawAdded.clear();
-    const auto num_loads = static_cast<std::uint32_t>(loadValue.size());
+    const auto num_loads = static_cast<std::uint32_t>(loadWriter.size());
     if (execution.loadValues.size() < num_loads)
         throw ConfigError("execution has fewer load values than loads");
 
     // Loads to re-derive: every load the first time; then the loads
-    // whose value changed (only changed threads can hold one) and the
-    // loads at locations whose order moved.
+    // whose writer changed (only changed threads can hold one) and the
+    // loads at locations whose order moved. A value change between two
+    // values no store wrote keeps the writer kNoWriter, and such a load
+    // has no unit either way.
     loadQueue.clear();
     const auto queue = [&](std::uint32_t ordinal) {
         if (!loadQueued[ordinal]) {
@@ -389,7 +389,7 @@ EdgeDeriver::derive(const Execution &execution, const WsOrder &ws,
             const std::uint32_t tid = changed_tids[k];
             for (std::uint32_t ordinal = threadLoadBegin[tid];
                  ordinal < threadLoadBegin[tid + 1]; ++ordinal) {
-                if (execution.loadValues[ordinal] != loadValue[ordinal])
+                if (ws.writerIndex(ordinal) != loadWriter[ordinal])
                     queue(ordinal);
             }
         }
@@ -407,14 +407,10 @@ EdgeDeriver::derive(const Execution &execution, const WsOrder &ws,
     for (const std::uint32_t ordinal : loadQueue) {
         loadQueued[ordinal] = 0;
         const std::uint32_t loc = loadLoc[ordinal];
-        const std::uint32_t value = execution.loadValues[ordinal];
-        const std::uint32_t w_old = loadWriter[ordinal];
-        const std::uint32_t w_new = first || value != loadValue[ordinal]
-            ? storeIndex.resolve(loc, value)
-            : w_old;
-        diffLoad(ordinal, w_old, rows.data() + locRowBegin[loc], w_new,
+        const std::uint32_t w_new = ws.writerIndex(ordinal);
+        diffLoad(ordinal, loadWriter[ordinal],
+                 rows.data() + locRowBegin[loc], w_new,
                  ws.reachRow(loc, 0), rawRemoved, rawAdded);
-        loadValue[ordinal] = value;
         loadWriter[ordinal] = w_new;
         ++derivedLoads;
     }
@@ -451,7 +447,7 @@ EdgeDeriver::assembleInto(std::vector<Edge> &out) const
     // Every unit as a diff from the empty unit, which removes nothing.
     out.clear();
     for (std::uint32_t ordinal = 0; ordinal < loadWriter.size(); ++ordinal) {
-        diffLoad(ordinal, StoreIndex::kUnknown, nullptr, loadWriter[ordinal],
+        diffLoad(ordinal, WsOrder::kNoWriter, nullptr, loadWriter[ordinal],
                  rows.data() + locRowBegin[loadLoc[ordinal]], out, out);
     }
     for (std::uint32_t loc = 0; loc < locWords.size(); ++loc)

@@ -108,10 +108,10 @@ void applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
  * The global edge list of dynamicEdgesInto() partitions into
  * independent units: per-load units (that load's external rf edge plus
  * its fr edges) and per-location units (the ws pairs of that
- * location). A load's unit depends only on the load's own decoded
- * value and its location's closed ws order; a location's unit depends
- * only on that order. So only the loads whose value changed (found
- * among the delta decoder's changed threads) and the loads and
+ * location). A load's unit depends only on the store its decoded
+ * value names and its location's closed ws order; a location's unit
+ * depends only on that order. So only the loads whose writer changed
+ * (found among the delta decoder's changed threads) and the loads and
  * locations whose order moved (WsOrder::locChanged()) are re-derived,
  * and per-unit diffs compose into the exact global (from, to)-sorted
  * diff: (from, to) keys are unique across the whole edge set — rf
@@ -119,10 +119,11 @@ void applyEdgeDiff(std::vector<Edge> &edges, const EdgeDiff &diff,
  * location — so no two units ever produce the same key.
  *
  * A unit is never stored as an edge list: a load's unit is its writer's
- * order index (its fr edges are that writer's reach row), and a
- * location's unit is its reach rows. The deriver keeps the rows of the
- * previous derive(), so a unit's diff is the XOR of its old and new
- * rows, emitted in ascending order by count-trailing-zeros.
+ * order index (WsOrder::writerIndex(); its fr edges are that writer's
+ * reach row), and a location's unit is its reach rows. The deriver
+ * keeps the writers and rows of the previous derive(), so a unit's
+ * diff is the XOR of its old and new rows, emitted in ascending order
+ * by count-trailing-zeros.
  *
  * Results are bit-identical to re-running dynamicEdgesInto() per
  * execution and diffing the sorted lists.
@@ -135,11 +136,12 @@ class EdgeDeriver
 
     /**
      * Derive the edges of @p execution (whose ws order is @p ws, as
-     * produced by infer()/inferDelta() on the same execution) and
-     * emit the sorted diff versus the previous derive() into @p out.
-     * The first call diffs against the empty set. @p changed_tids is
-     * the delta decoder's changed-thread list; it is ignored on the
-     * first call (everything derives).
+     * produced by infer()/inferDelta() on the same execution, which
+     * also resolved each load's writer) and emit the sorted diff
+     * versus the previous derive() into @p out. The first call diffs
+     * against the empty set. @p changed_tids is the delta decoder's
+     * changed-thread list; it is ignored on the first call (everything
+     * derives).
      */
     void derive(const Execution &execution, const WsOrder &ws,
                 const std::uint32_t *changed_tids, std::size_t n,
@@ -169,7 +171,7 @@ class EdgeDeriver
      * Append the diff of load @p ordinal's unit when its writer moves
      * from @p w_old to @p w_new and its location's reach rows from
      * @p old_rows to @p new_rows (row 0 of the location; nullptr is the
-     * empty unit, as is writer StoreIndex::kUnknown).
+     * empty unit, as is writer WsOrder::kNoWriter).
      */
     void diffLoad(std::uint32_t ordinal, std::uint32_t w_old,
                   const std::uint64_t *old_rows, std::uint32_t w_new,
@@ -190,7 +192,6 @@ class EdgeDeriver
     // vertex, location and thread; each thread's load ordinals; each
     // location's stores (vertex and thread, by order index - 1), loads
     // and reach-row geometry.
-    StoreIndex storeIndex;
     std::vector<std::uint32_t> loadVertex;
     std::vector<std::uint32_t> loadLoc;
     std::vector<std::uint32_t> loadTid;
@@ -203,10 +204,8 @@ class EdgeDeriver
     std::vector<std::uint32_t> locWords;
     std::vector<std::size_t> locRowBegin;
 
-    // State of the previous derive(): each load's value and writer
-    // order index (StoreIndex::kUnknown: no unit), each location's
-    // closed reach rows.
-    std::vector<std::uint32_t> loadValue;
+    // State of the previous derive(): each load's writer order index
+    // (WsOrder::kNoWriter: no unit), each location's closed reach rows.
     std::vector<std::uint32_t> loadWriter;
     std::vector<std::uint64_t> rows;
 

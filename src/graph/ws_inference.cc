@@ -33,7 +33,17 @@ WsOrder::bindProgram(const TestProgram &program)
         total += static_cast<std::size_t>(n) * locWords[loc];
     }
     reach.assign(total, 0);
-    storeIndex.build(program);
+    valueIndex.clear();
+    valueIndex.reserve(program.stores().size());
+    for (std::uint32_t loc = 0; loc < num_locs; ++loc) {
+        const auto &stores = locStores[loc];
+        for (std::uint32_t i = 0; i < stores.size(); ++i)
+            valueIndex.push_back({program.op(stores[i]).value, loc, i + 1});
+    }
+    std::sort(valueIndex.begin(), valueIndex.end(),
+              [](const ValueEntry &a, const ValueEntry &b) {
+                  return a.value < b.value;
+              });
 
     // Segments, count-then-fill: count each (thread, location) pair's
     // ops, then number the non-empty pairs in (location, thread) order
@@ -137,8 +147,20 @@ void
 WsOrder::resolveLoad(std::uint32_t ordinal, std::uint32_t value)
 {
     loadValue[ordinal] = value;
-    loadIndex[ordinal] =
-        storeIndex.resolve(segLoc[loadSeg[ordinal]], value);
+    if (value == kInitValue) {
+        loadIndex[ordinal] = 0;
+        return;
+    }
+    const auto it = std::lower_bound(
+        valueIndex.begin(), valueIndex.end(), value,
+        [](const ValueEntry &e, std::uint32_t v) { return e.value < v; });
+    if (it == valueIndex.end() || it->value != value) {
+        loadIndex[ordinal] = kNoWriter;
+        return;
+    }
+    if (it->loc != segLoc[loadSeg[ordinal]])
+        throw ConfigError("store is not a writer of this location");
+    loadIndex[ordinal] = it->index;
 }
 
 bool
@@ -148,7 +170,7 @@ WsOrder::walkSegment(std::uint32_t seg)
     // load-observed index, to apply rules (b), (c), (d). The rules
     // relate only ops of one thread at one location, so the result
     // depends on nothing outside the segment.
-    constexpr std::uint32_t kNone = StoreIndex::kUnknown;
+    constexpr std::uint32_t kNone = kNoWriter;
     Constraint *out = walkScratch.data();
     std::uint32_t count = 0;
     std::uint8_t contradiction = 0;
@@ -173,7 +195,7 @@ WsOrder::walkSegment(std::uint32_t seg)
         }
 
         const std::uint32_t w = loadIndex[op];
-        if (w == StoreIndex::kUnknown) {
+        if (w == kNoWriter) {
             // Value produced by no store in the test: platform
             // corruption; treat as a violation.
             contradiction = 1;

@@ -30,10 +30,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
-#include "graph/store_index.h"
 #include "testgen/execution.h"
 #include "testgen/test_program.h"
 
@@ -164,6 +164,22 @@ class WsOrder
         return (reachRow(loc, from)[to >> 6] >> (to & 63)) & 1;
     }
 
+    /** writerIndex() of a load whose value no store of the program
+     * wrote. */
+    static constexpr std::uint32_t kNoWriter =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * Order index, at its location, of the store that load @p ordinal
+     * read in the last inferred execution: 0 for the initial value,
+     * kNoWriter when no store wrote the value.
+     */
+    std::uint32_t
+    writerIndex(std::uint32_t ordinal) const
+    {
+        return loadIndex[ordinal];
+    }
+
     // --- Work counters (cumulative since construction) -----------------
 
     /** (thread, location) segments walked by rules (b)-(d). */
@@ -185,7 +201,11 @@ class WsOrder
     /** Rebuild the per-program tables when the program changed. */
     void bindProgram(const TestProgram &program);
 
-    /** Record load @p ordinal's value and resolve its order index. */
+    /**
+     * Record load @p ordinal's value and resolve its order index.
+     * @throws ConfigError when a store to another location wrote it
+     *         (the error indexOf() raises for that store).
+     */
     void resolveLoad(std::uint32_t ordinal, std::uint32_t value);
 
     /**
@@ -218,15 +238,24 @@ class WsOrder
     /** reach bit (loc, i, j): i coherence-before j. */
     std::vector<std::uint64_t> reach;
 
-    // Per-program tables, built by count-then-fill. Segments are
-    // numbered in (location, thread) order; a location's are
-    // [locSegBegin[loc], locSegBegin[loc + 1]). A segment's ops are
-    // segOps[segBegin[s] .. segBegin[s + 1]): a store as kStoreOp | its
-    // order index, a load as its ordinal. Its constraints live in
-    // cons[2 * segBegin[s] ...] — a store adds at most one (rule c), a
-    // load at most two (rules b and d).
+    /** A store's value and where it sits in its location's order. */
+    struct ValueEntry
+    {
+        std::uint32_t value;
+        std::uint32_t loc;
+        std::uint32_t index;
+    };
+
+    // Per-program tables, built by count-then-fill. valueIndex holds
+    // every store sorted by value, so resolving a loaded value is one
+    // binary search. Segments are numbered in (location, thread)
+    // order; a location's are [locSegBegin[loc], locSegBegin[loc + 1]).
+    // A segment's ops are segOps[segBegin[s] .. segBegin[s + 1]): a
+    // store as kStoreOp | its order index, a load as its ordinal. Its
+    // constraints live in cons[2 * segBegin[s] ...] — a store adds at
+    // most one (rule c), a load at most two (rules b and d).
     static constexpr std::uint32_t kStoreOp = 0x80000000u;
-    StoreIndex storeIndex;
+    std::vector<ValueEntry> valueIndex;
     std::vector<std::uint32_t> segLoc;
     std::vector<std::uint32_t> segBegin;
     std::vector<std::uint32_t> segOps;

@@ -99,7 +99,8 @@ expectSameFlowResult(const FlowResult &a, const FlowResult &b)
  * oracles: the reference ws inference (every reach bit, the violation
  * flag, locChanged), dynamicEdges (the maintained edge list and its
  * violation flag), and a collective checker fed the from-scratch edge
- * lists (verdicts; stats at finish()).
+ * lists (verdicts; stats at finish()). The oracles read their own
+ * execution, so a stream's delta decode is checked against a full one.
  */
 class OracleStream
 {
@@ -110,21 +111,23 @@ class OracleStream
     {}
 
     /** One step; @p changed lists the threads whose values may differ
-     * from the previous step's. Returns the diff-fed verdict. */
+     * from the previous step's. The incremental pipeline reads @p exec,
+     * the oracles @p fresh. Returns the diff-fed verdict. */
     bool
-    step(const Execution &exec, const std::vector<std::uint32_t> &changed)
+    step(const Execution &exec, const std::vector<std::uint32_t> &changed,
+         const Execution &fresh)
     {
         ws.inferDelta(program, exec, changed.data(), changed.size());
         deriver.derive(exec, ws, changed.data(), changed.size(), diff);
         applyEdgeDiff(maintained, diff, scratch);
 
         ReferenceWsOrder ref;
-        ref.infer(program, exec);
+        ref.infer(program, fresh);
         expectMatchesReference(ws, ref, steps ? &prev : nullptr,
                                program.config().numLocations);
         prev = ref;
 
-        const DynamicEdgeSet oracle = dynamicEdges(program, exec);
+        const DynamicEdgeSet oracle = dynamicEdges(program, fresh);
         EXPECT_EQ(maintained, oracle.edges) << "step " << steps;
         EXPECT_EQ(diff.coherenceViolation, oracle.coherenceViolation);
         EXPECT_EQ(diff.coherenceViolation, ref.coherenceViolation());
@@ -136,8 +139,16 @@ class OracleStream
         return verdict;
     }
 
-    /** Step through @p signatures with a delta decoder; a corrupt one
-     * must throw and is skipped, as the flow quarantines it. */
+    /** step() on a hand-made execution, read by both sides. */
+    bool
+    step(const Execution &exec, const std::vector<std::uint32_t> &changed)
+    {
+        return step(exec, changed, exec);
+    }
+
+    /** Step through @p signatures with a delta decoder, checked against
+     * a full decode of each; a corrupt one must throw from both and is
+     * skipped, as the flow quarantines it. */
     void
     decodeAll(const SignatureCodec &codec,
               const std::vector<Signature> &signatures)
@@ -148,10 +159,14 @@ class OracleStream
             try {
                 exec = &stream.next(signature);
             } catch (const SignatureDecodeError &) {
+                EXPECT_THROW(codec.decode(signature), SignatureDecodeError);
                 ++quarantined;
                 continue;
             }
-            step(*exec, stream.changedThreads());
+            const Execution fresh = codec.decode(signature);
+            EXPECT_EQ(exec->loadValues, fresh.loadValues)
+                << "step " << steps;
+            step(*exec, stream.changedThreads(), fresh);
         }
     }
 
