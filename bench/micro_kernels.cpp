@@ -272,6 +272,43 @@ BM_PlatformIterationArena(benchmark::State &state)
 }
 BENCHMARK(BM_PlatformIterationArena);
 
+/**
+ * The Timed scheduler at the shipped lockstep width: one 32-lane
+ * runBatchInto() per iteration on one x86-4-100-64 (Arg 0) or
+ * ARM-4-100-64 (Arg 1) test, fresh lane streams each batch.
+ * `step_time` is seconds per scheduler step: a bug-free run takes one
+ * step per op, so a batch is 32 × numOps() steps.
+ */
+void
+BM_TimedBatch(benchmark::State &state)
+{
+    static const TestProgram x86 =
+        generateTest(parseConfigName("x86-4-100-64"), 42);
+    static const TestProgram arm =
+        generateTest(parseConfigName("ARM-4-100-64"), 42);
+    const TestProgram &program = state.range(0) == 0 ? x86 : arm;
+    state.SetLabel(program.config().name());
+
+    constexpr std::uint32_t kLanes = 32;
+    OperationalExecutor platform(bareMetalConfig(program.config().isa));
+    Rng master(11);
+    std::vector<Rng> rngs(kLanes);
+    std::vector<LaneStatus> status(kLanes);
+    BatchRunArena batch;
+    for (auto _ : state) {
+        for (Rng &rng : rngs)
+            rng = Rng(master());
+        platform.runBatchInto(program, rngs.data(), kLanes, batch,
+                              nullptr, status.data());
+        benchmark::DoNotOptimize(batch.executions.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["step_time"] = benchmark::Counter(
+        double(state.iterations()) * kLanes * program.numOps(),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TimedBatch)->Arg(0)->Arg(1);
+
 /** The sorted unique signature stream of one test. */
 struct StreamWorkload
 {

@@ -86,18 +86,35 @@ orderTableCache()
     return cache;
 }
 
+/** Bit of @p line_idx in a 64-bit cache-line summary. Lines 64 apart
+ * share a bit: a summary is a superset test, never an exact one. */
+constexpr std::uint64_t
+lineBit(std::uint32_t line_idx)
+{
+    return std::uint64_t(1) << (line_idx & 63);
+}
+
+/** Bits [0, n) set, for n in [0, 32]. */
+constexpr std::uint32_t
+lowBits(std::uint32_t n)
+{
+    return static_cast<std::uint32_t>((std::uint64_t(1) << n) - 1);
+}
+
 /** Cache lines whose coherence state one perform mutated: at most the
  * op's own line plus one LRU-eviction victim. Per-step transient. */
 struct DirtySet
 {
     std::uint32_t lines[2] = {0, 0};
     std::uint32_t n = 0;
+    std::uint64_t summary = 0; ///< lineBit() of every line added
 
     void
     add(std::uint32_t line_idx)
     {
         if (n < 2)
             lines[n++] = line_idx;
+        summary |= lineBit(line_idx);
     }
 
     bool
@@ -177,21 +194,31 @@ struct BatchState : RunArena::State
         history;                         ///< [lane × numLocs]
 
     /** Timed-policy per-thread cached best candidate (see
-     * recomputeBest); the incremental-scheduler dirty-set machinery is
-     * per lane — a perform only invalidates its own lane's caches. */
+     * recomputeBest; bestTime kNever = no candidate); the
+     * incremental-scheduler dirty-set machinery is per lane — a
+     * perform only invalidates its own lane's caches. */
     std::vector<std::uint64_t> bestTime;  ///< [lane × T]
     std::vector<std::uint64_t> bestIssue; ///< [lane × T]
     std::vector<std::uint32_t> bestIdx;   ///< [lane × T]
-    std::vector<std::uint8_t> bestValid;  ///< [lane × T]
+    /**
+     * lineBit() of every cache line the thread's current candidates
+     * sit on, rewritten by each recomputeBest (0 while blocked). A
+     * perform can change another thread's candidate times only
+     * through the lines it dirtied, so a thread whose summary misses
+     * the DirtySet's needs no refresh; an aliased bit costs one
+     * needless refreshDirty and never skips a needed one.
+     */
+    std::vector<std::uint64_t> candLines; ///< [lane × T]
 
     /**
      * Per-op cached candidate times (kNever in candComplete = op not
      * an eligible candidate right now). A thread's entries over its
-     * current window are kept fresh: the performing thread's full
-     * recompute rewrites its window, and other threads' entries can
-     * only be invalidated through the ≤2 cache lines a perform
-     * mutates — so the dirty refresh re-times exactly the window ops
-     * on those lines and leaves the rest cached.
+     * current window are kept fresh: the performing thread's
+     * recompute re-times its candidates and clears its completed ops,
+     * and other threads' entries can only be invalidated through the
+     * ≤2 cache lines a perform mutates — so the dirty refresh
+     * re-times exactly the candidates on those lines and leaves the
+     * rest cached.
      */
     std::vector<std::uint64_t> candComplete; ///< [lane × totalOps]
     std::vector<std::uint64_t> candIssue;    ///< [lane × totalOps]
@@ -298,7 +325,7 @@ struct BatchState : RunArena::State
                              numThreads);
             bestIdx.resize(static_cast<std::size_t>(lanes) *
                            numThreads);
-            bestValid.resize(static_cast<std::size_t>(lanes) *
+            candLines.resize(static_cast<std::size_t>(lanes) *
                              numThreads);
         } else {
             eligibleScratch.reserve(
@@ -372,8 +399,8 @@ struct BatchState : RunArena::State
                         numThreads, std::uint64_t(0));
             std::fill_n(bestIdx.begin() + laneThread(lane, 0),
                         numThreads, std::uint32_t(0));
-            std::fill_n(bestValid.begin() + laneThread(lane, 0),
-                        numThreads, std::uint8_t(0));
+            std::fill_n(candLines.begin() + laneThread(lane, 0),
+                        numThreads, std::uint64_t(0));
             Rng &rng = *rngs[lane];
             for (std::uint32_t tid = 0; tid < numThreads; ++tid) {
                 coreSlot[laneThread(lane, tid)] =
@@ -413,6 +440,37 @@ struct BatchState : RunArena::State
             stallUntilCancelled(cfg->stallIgnoresCancel ? nullptr
                                                         : cancel);
         }
+    }
+
+    /**
+     * Eligibility of @p tid's reorder window [h, h+n) as a bit mask
+     * (bit j = op h+j): the op is incomplete and its required
+     * predecessors are complete. @p span is windowSpan(h), so op
+     * h+j's own completion bit is span bit 32+j and its predecessor
+     * window is span bits [j, j+32).
+     */
+    std::uint32_t
+    candidateMask(std::uint32_t tid, std::uint32_t h, std::uint32_t n,
+                  std::uint64_t span) const
+    {
+        const std::uint32_t *preds =
+            flat.requiredPreds.data() + flat.opOffset[tid] + h;
+        std::uint32_t mask = 0;
+        for (std::uint32_t j = 0; j < n; ++j) {
+            const std::uint32_t waiting =
+                preds[j] & ~static_cast<std::uint32_t>(span >> j);
+            mask |= std::uint32_t(waiting == 0) << j;
+        }
+        return mask & ~static_cast<std::uint32_t>(span >> 32);
+    }
+
+    /** Reorder-window length of @p tid at head @p h. */
+    std::uint32_t
+    windowLength(std::uint32_t tid, std::uint32_t h) const
+    {
+        const std::uint32_t size =
+            flat.opOffset[tid + 1] - flat.opOffset[tid];
+        return std::min(size - h, cfg->reorderWindow);
     }
 
     /**
@@ -499,31 +557,13 @@ struct BatchState : RunArena::State
         checkLiveness(lane);
         auto &eligible = eligibleScratch;
         eligible.clear();
-        const std::uint32_t window = cfg->reorderWindow;
         for (std::uint32_t tid = 0; tid < numThreads; ++tid) {
-            if (blocked[laneThread(lane, tid)])
-                continue;
-            const std::uint32_t base = flat.opOffset[tid];
-            const std::uint32_t size = flat.opOffset[tid + 1] - base;
             const std::uint32_t h = head[laneThread(lane, tid)];
-            const std::uint32_t end = std::min(size, h + window);
-            // Rolling window-completion mask: one O(1) bitset grab at
-            // the head, then a shift-and-insert per candidate instead
-            // of a fresh 64-bit window extraction each.
-            std::uint32_t rolling =
-                completion.windowCompleted(lane, tid, h);
-            for (std::uint32_t idx = h; idx < end; ++idx) {
-                const bool done =
-                    completion.isCompleted(lane, tid, idx);
-                const std::uint32_t window_mask = rolling;
-                rolling = (rolling >> 1) |
-                    (std::uint32_t(done) << 31);
-                if (done)
-                    continue;
-                if (flat.requiredPreds[base + idx] & ~window_mask)
-                    continue;
-                eligible.emplace_back(tid, idx);
-            }
+            std::uint32_t cand =
+                candidateMask(tid, h, windowLength(tid, h),
+                              completion.windowSpan(lane, tid, h));
+            for (; cand; cand &= cand - 1)
+                eligible.emplace_back(tid, h + __builtin_ctz(cand));
         }
         if (eligible.empty())
             throw PlatformError(
@@ -667,53 +707,50 @@ struct BatchState : RunArena::State
     }
 
     /**
-     * Re-scan @p tid's reorder window, refresh its per-op candidate
-     * caches, and cache its best candidate. Runs after the thread's
-     * own performs (which shift its window, complete ops, and move
-     * its core slot) and at lane seeding; lazily draws jitter for
-     * newly eligible ops in idx order, exactly as the full-rescan
-     * engine did.
+     * Re-time @p tid's window candidates, refresh its per-op candidate
+     * caches and line summary, and cache its best candidate. Runs after
+     * the thread's own performs (which shift its window, complete ops,
+     * and move its core slot) and at lane seeding. Eligibility comes
+     * from candidateMask; only candidates are visited, in ascending
+     * idx, so lazily drawn jitter for newly eligible ops keeps the
+     * full scan's (tid, idx) draw order.
      */
     void
     recomputeBest(std::uint32_t lane, std::uint32_t tid,
                   const DirtySet *dirty)
     {
-        const std::uint32_t base = flat.opOffset[tid];
-        const std::uint32_t size = flat.opOffset[tid + 1] - base;
-        const std::uint32_t h = head[laneThread(lane, tid)];
-        const std::uint32_t end =
-            std::min(size, h + cfg->reorderWindow);
+        const std::size_t lt = laneThread(lane, tid);
         std::uint64_t best_time = kNever;
         std::uint64_t best_issue = 0;
         std::uint32_t best_idx = 0;
-        bool found = false;
-        if (!blocked[laneThread(lane, tid)]) {
-            const std::uint64_t core_slot =
-                coreSlot[laneThread(lane, tid)];
-            std::uint64_t *lane_cc =
-                candComplete.data() + laneOp(lane);
+        std::uint64_t cand_lines = 0;
+        if (!blocked[lt]) {
+            const std::uint32_t base = flat.opOffset[tid];
+            const std::uint32_t h = head[lt];
+            const std::uint32_t n = windowLength(tid, h);
+            const std::uint64_t span = completion.windowSpan(lane, tid, h);
+            const std::uint64_t core_slot = coreSlot[lt];
+            std::uint64_t *lane_cc = candComplete.data() + laneOp(lane);
             std::uint64_t *lane_ci = candIssue.data() + laneOp(lane);
             std::uint64_t *lane_lat = latCache.data() + laneOp(lane);
-            std::uint32_t rolling =
-                completion.windowCompleted(lane, tid, h);
-            for (std::uint32_t idx = h; idx < end; ++idx) {
-                const bool done =
-                    completion.isCompleted(lane, tid, idx);
-                const std::uint32_t window_mask = rolling;
-                rolling = (rolling >> 1) |
-                    (std::uint32_t(done) << 31);
+            // Eligibility holds from an op's first candidacy until it
+            // performs, so the window's completed ops are the only
+            // non-candidates whose entry can still hold a time.
+            for (std::uint32_t done =
+                     static_cast<std::uint32_t>(span >> 32) & lowBits(n);
+                 done; done &= done - 1)
+                lane_cc[base + h + __builtin_ctz(done)] = kNever;
+            for (std::uint32_t cand = candidateMask(tid, h, n, span);
+                 cand; cand &= cand - 1) {
+                const std::uint32_t idx = h + __builtin_ctz(cand);
                 const std::uint32_t fo = base + idx;
-                if (done ||
-                    (flat.requiredPreds[fo] & ~window_mask)) {
-                    lane_cc[fo] = kNever;
-                    continue;
-                }
+                const std::uint32_t line_idx = flat.opLine[fo];
                 // First candidacy computes the latency (drawing the
                 // op's jitter); the own perform's dirty lines force a
                 // re-derivation; everything else reuses the cache.
                 std::uint64_t lat;
                 if (lane_cc[fo] == kNever ||
-                    (dirty && dirty->contains(flat.opLine[fo]))) {
+                    (dirty && dirty->contains(line_idx))) {
                     lat = computeLatency(lane, tid, idx);
                     lane_lat[fo] = lat;
                 } else {
@@ -724,81 +761,65 @@ struct BatchState : RunArena::State
                 const std::uint64_t completes = issue + lat;
                 lane_cc[fo] = completes;
                 lane_ci[fo] = issue;
+                cand_lines |= lineBit(line_idx);
                 // Strict < keeps the earliest idx on a tie,
                 // reproducing the full scan's (tid, idx) preference.
                 if (completes < best_time) {
                     best_time = completes;
                     best_issue = issue;
                     best_idx = idx;
-                    found = true;
                 }
             }
         }
-        const std::size_t lt = laneThread(lane, tid);
         bestTime[lt] = best_time;
         bestIssue[lt] = best_issue;
         bestIdx[lt] = best_idx;
-        bestValid[lt] = found ? 1 : 0;
+        candLines[lt] = cand_lines;
     }
 
     /**
-     * Re-time exactly the window candidates of @p tid sitting on a
-     * cache line the last perform mutated, leaving the rest cached —
-     * another thread's eligibility, core slot, and predecessor times
-     * cannot have changed, only latencies through those ≤2 lines.
-     * Draws nothing: every current candidate's jitter was drawn when
-     * it first became eligible (its own thread's recompute), so this
-     * refresh is invisible to the RNG stream, like the full-window
-     * rescan it replaces.
+     * Re-time @p tid's window candidates sitting on a cache line the
+     * last perform dirtied and re-pick its best candidate. Another
+     * thread's perform cannot change this thread's eligibility, core
+     * slot or predecessor times, only latencies through those ≤2
+     * lines. stepTimed calls it only for threads whose candLines
+     * summary meets the DirtySet's. Draws nothing: every candidate's
+     * jitter was drawn when it first became eligible (its own
+     * thread's recompute), so the refresh is invisible to the RNG
+     * stream.
      */
     void
     refreshDirty(std::uint32_t lane, std::uint32_t tid,
                  const DirtySet &dirty)
     {
-        if (blocked[laneThread(lane, tid)])
-            return;
+        const std::size_t lt = laneThread(lane, tid);
         const std::uint32_t base = flat.opOffset[tid];
-        const std::uint32_t size = flat.opOffset[tid + 1] - base;
-        const std::uint32_t h = head[laneThread(lane, tid)];
-        const std::uint32_t end =
-            std::min(size, h + cfg->reorderWindow);
+        const std::uint32_t h = head[lt];
+        const std::uint32_t end = h + windowLength(tid, h);
         std::uint64_t *lane_cc = candComplete.data() + laneOp(lane);
         std::uint64_t *lane_ci = candIssue.data() + laneOp(lane);
         std::uint64_t *lane_lat = latCache.data() + laneOp(lane);
-        bool changed = false;
+        std::uint64_t best_time = kNever;
+        std::uint64_t best_issue = 0;
+        std::uint32_t best_idx = 0;
         for (std::uint32_t idx = h; idx < end; ++idx) {
             const std::uint32_t fo = base + idx;
             if (lane_cc[fo] == kNever)
                 continue;
-            if (!dirty.contains(flat.opLine[fo]))
-                continue;
-            // Issue inputs (core slot, predecessors) are untouched by
-            // another thread's perform: only the latency re-derives.
-            const std::uint64_t lat = computeLatency(lane, tid, idx);
-            lane_lat[fo] = lat;
-            lane_cc[fo] = lane_ci[fo] + lat;
-            changed = true;
-        }
-        if (!changed)
-            return;
-        std::uint64_t best_time = kNever;
-        std::uint64_t best_issue = 0;
-        std::uint32_t best_idx = 0;
-        bool found = false;
-        for (std::uint32_t idx = h; idx < end; ++idx) {
-            const std::uint64_t completes = lane_cc[base + idx];
-            if (completes < best_time) {
-                best_time = completes;
-                best_issue = lane_ci[base + idx];
+            if (dirty.contains(flat.opLine[fo])) {
+                const std::uint64_t lat = computeLatency(lane, tid, idx);
+                lane_lat[fo] = lat;
+                lane_cc[fo] = lane_ci[fo] + lat;
+            }
+            if (lane_cc[fo] < best_time) {
+                best_time = lane_cc[fo];
+                best_issue = lane_ci[fo];
                 best_idx = idx;
-                found = true;
             }
         }
-        const std::size_t lt = laneThread(lane, tid);
         bestTime[lt] = best_time;
         bestIssue[lt] = best_issue;
         bestIdx[lt] = best_idx;
-        bestValid[lt] = found ? 1 : 0;
     }
 
     /** Touch the LRU and evict over-capacity lines for @p tid. */
@@ -955,28 +976,31 @@ struct BatchState : RunArena::State
         }
     }
 
+    /**
+     * One Timed-policy step: perform the lane's earliest-completing
+     * candidate, then bring the cached candidate times back in line
+     * with the new state — the performing thread re-times its whole
+     * candidate set, every other thread only what the perform's dirty
+     * lines can have changed.
+     */
     void
     stepTimed(std::uint32_t lane)
     {
         checkLiveness(lane);
         const std::uint64_t *lane_best = bestTime.data() +
             laneThread(lane, 0);
-        const std::uint8_t *lane_valid = bestValid.data() +
-            laneThread(lane, 0);
         std::uint32_t best_tid = 0;
         std::uint64_t best_time = kNever;
-        bool found = false;
         // Deterministic tie-break (lowest thread id / oldest op):
         // silicon arbitration is stable, so equal-latency races
         // repeat the same winner.
         for (std::uint32_t tid = 0; tid < numThreads; ++tid) {
-            if (lane_valid[tid] && lane_best[tid] < best_time) {
+            if (lane_best[tid] < best_time) {
                 best_time = lane_best[tid];
                 best_tid = tid;
-                found = true;
             }
         }
-        if (!found) {
+        if (best_time == kNever) {
             // Only blocked threads have work left: the injected
             // protocol race wedged the platform.
             throw ProtocolDeadlockError(
@@ -994,13 +1018,14 @@ struct BatchState : RunArena::State
         // its recompute runs first, drawing jitter for newly eligible
         // ops in idx order, matching the full rescan's draw sequence.
         // Other threads are affected only through the cache lines this
-        // perform mutated; their dirty refresh draws nothing.
+        // perform mutated, so only those with a candidate on one of
+        // them refresh; the refresh draws nothing.
         recomputeBest(lane, best_tid, &dirty);
-        if (dirty.n != 0) {
-            for (std::uint32_t tid = 0; tid < numThreads; ++tid) {
-                if (tid != best_tid)
-                    refreshDirty(lane, tid, dirty);
-            }
+        const std::uint64_t *lane_lines = candLines.data() +
+            laneThread(lane, 0);
+        for (std::uint32_t tid = 0; tid < numThreads; ++tid) {
+            if (tid != best_tid && (lane_lines[tid] & dirty.summary))
+                refreshDirty(lane, tid, dirty);
         }
     }
 

@@ -294,10 +294,17 @@ class LaneCompletionBits
         row[idx >> 6] |= std::uint64_t(1) << (idx & 63);
     }
 
-    /** Same contract as CompletionBits::windowCompleted. */
-    std::uint32_t
-    windowCompleted(std::uint32_t lane, std::uint32_t tid,
-                    std::uint32_t idx) const
+    /**
+     * Completion bits of ops [head-32, head+32) in one word: bit k
+     * covers op head-32+k; negative indices read as complete, indices
+     * past the thread's end as incomplete. For j in [0, 32], op
+     * head+j's CompletionBits::windowCompleted mask is the low 32 bits
+     * of `span >> j`, and for j < 32 its own bit is bit 32+j — so one
+     * grab answers every eligibility query of a reorder window.
+     */
+    std::uint64_t
+    windowSpan(std::uint32_t lane, std::uint32_t tid,
+               std::uint32_t head) const
     {
         const std::uint64_t *row = threadWords(lane, tid);
         auto grab64 = [&](std::uint32_t start) -> std::uint64_t {
@@ -308,16 +315,10 @@ class LaneCompletionBits
                 v |= row[word + 1] << (64 - off);
             return v;
         };
-        if (idx >= kMaxReorderWindow)
-            return static_cast<std::uint32_t>(
-                grab64(idx - kMaxReorderWindow));
-        if (idx == 0)
-            return ~std::uint32_t(0);
-        const std::uint32_t real = static_cast<std::uint32_t>(grab64(0))
-            << (kMaxReorderWindow - idx);
-        const std::uint32_t pad =
-            (std::uint32_t(1) << (kMaxReorderWindow - idx)) - 1;
-        return real | pad;
+        if (head >= kMaxReorderWindow)
+            return grab64(head - kMaxReorderWindow);
+        const std::uint32_t pad = kMaxReorderWindow - head;
+        return (grab64(0) << pad) | ((std::uint64_t(1) << pad) - 1);
     }
 
   private:

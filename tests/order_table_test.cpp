@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the shared executor substrate: OrderTable required-
- * predecessor masks and the CompletionBits windowed-completion
- * queries, whose bit arithmetic underpins every executor's
- * eligibility check.
+ * predecessor masks and the CompletionBits / LaneCompletionBits
+ * windowed-completion queries, whose bit arithmetic underpins every
+ * executor's eligibility check.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/order_table.h"
+#include "support/rng.h"
 #include "testgen/generator.h"
 #include "testgen/litmus.h"
 
@@ -77,6 +78,41 @@ TEST(CompletionBits, DeepIndicesCrossWordBoundaries)
     }
     EXPECT_TRUE(bits.isCompleted(0, 69));
     EXPECT_FALSE(bits.isCompleted(0, 70));
+}
+
+TEST(LaneCompletionBits, WindowSpanMatchesPerOpQueries)
+{
+    // Thread 1 has 200 ops; random completions on lane 1 of 2. Every
+    // head's span must answer CompletionBits' window and completion
+    // queries for the 33 ops it covers, across word boundaries.
+    const TestProgram program =
+        generateTest(parseConfigName("x86-2-200-32"), 6);
+    CompletionBits bits;
+    bits.reset(program);
+    LaneCompletionBits lanes;
+    lanes.reset(program, 2);
+    Rng rng(17);
+    for (std::uint32_t i = 0; i < 200; ++i) {
+        if (rng.nextBool(0.6)) {
+            bits.markCompleted(1, i);
+            lanes.markCompleted(1, 1, i);
+        }
+    }
+    for (std::uint32_t head = 0; head < 200; ++head) {
+        const std::uint64_t span = lanes.windowSpan(1, 1, head);
+        for (std::uint32_t j = 0; j <= 32 && head + j < 200; ++j) {
+            EXPECT_EQ(static_cast<std::uint32_t>(span >> j),
+                      bits.windowCompleted(1, head + j))
+                << "head " << head << " j " << j;
+            if (j < 32) {
+                EXPECT_EQ((span >> (32 + j)) & 1,
+                          bits.isCompleted(1, head + j) ? 1u : 0u)
+                    << "head " << head << " j " << j;
+            }
+        }
+    }
+    // Lane 0 stays untouched: nothing complete past the padding.
+    EXPECT_EQ(lanes.windowSpan(0, 1, 0), 0xffffffffULL);
 }
 
 TEST(OrderTable, MasksMatchRequiredOrder)
