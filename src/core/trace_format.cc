@@ -167,15 +167,14 @@ freshTracePath(const std::string &path)
 } // anonymous namespace
 
 TraceWriter::TraceWriter(const std::string &path,
-                         const TraceHeader &header, unsigned fsync_every)
-    : writer(freshTracePath(path), fsync_every)
+                         const TraceHeader &header)
+    : writer(freshTracePath(path))
 {
     writer.append(encodeTraceHeader(header));
     writer.sync();
 }
 
-TraceWriter::TraceWriter(const std::string &path, unsigned fsync_every)
-    : writer(path, fsync_every)
+TraceWriter::TraceWriter(const std::string &path) : writer(path)
 {}
 
 void

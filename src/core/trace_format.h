@@ -148,7 +148,8 @@ TraceCheckpointRecord
 decodeTraceCheckpoint(const std::vector<std::uint8_t> &body);
 
 /**
- * Append-only trace writer (batched-fsync journal underneath).
+ * Append-only trace writer (the group-commit JournalWriter underneath,
+ * so a dump or checkpoint has the journal's durability contract).
  *
  * The two-constructor split mirrors the two producer situations: a
  * fresh dump truncates whatever was at @p path and stamps the header;
@@ -160,19 +161,17 @@ class TraceWriter
   public:
     /** Start a fresh trace at @p path: truncate, write @p header.
      * @throws JournalError on I/O failure. */
-    TraceWriter(const std::string &path, const TraceHeader &header,
-                unsigned fsync_every = 8);
+    TraceWriter(const std::string &path, const TraceHeader &header);
 
     /** Append to an existing trace; no header is written. The caller
      * must have validated the file (readTraceFile) and truncated any
      * torn tail (truncateToValidPrefix) first. */
-    explicit TraceWriter(const std::string &path,
-                         unsigned fsync_every = 8);
+    explicit TraceWriter(const std::string &path);
 
     /** Append one record of @p kind. @throws JournalError on I/O. */
     void append(std::uint8_t kind, const std::vector<std::uint8_t> &body);
 
-    /** Force an fsync (end-of-dump barrier). */
+    /** fsync any pending record (end-of-dump barrier). */
     void sync();
 
   private:

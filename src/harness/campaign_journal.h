@@ -11,8 +11,8 @@
  * journal whose header disagrees — resuming under different knobs
  * would splice incompatible result streams and silently corrupt the
  * summary. Operational knobs that cannot change results (thread
- * count, watchdog timeout, error budget, fsync cadence) are excluded,
- * so a campaign may be resumed on a different machine shape.
+ * count, watchdog timeout, error budget) are excluded, so a campaign
+ * may be resumed on a different machine shape.
  *
  * Every subsequent record is one completed unit: its identity
  * (config name, test index, both pre-derived seeds), its terminal
@@ -119,8 +119,9 @@ class CampaignJournal
     const UnitRecord *find(const std::string &config_name,
                            std::uint32_t test_index) const;
 
-    /** Durably append one completed unit. Thread-safe: campaign
-     * workers call this concurrently. */
+    /** Append one completed unit: written at once, so a kill loses
+     * nothing; fsynced by the writer's group commit (journal.h).
+     * Thread-safe: campaign workers call this concurrently. */
     void append(const UnitRecord &record);
 
     /** Units recovered from the log at open (resume only). */

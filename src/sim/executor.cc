@@ -535,16 +535,24 @@ struct BatchState : RunArena::State
         markCompleted(lane, tid, idx, time);
     }
 
-    /** Memory value of @p loc as of time @p when (stale-read lookup). */
+    /**
+     * Memory value of @p loc as of time @p when (stale-read lookup):
+     * the store with the latest perform time at or before @p when, the
+     * later perform on a tie. Perform times are not monotone (a
+     * short-latency op can complete before the previous perform's
+     * time), so the whole history is scanned.
+     */
     std::uint32_t
     valueAt(std::uint32_t lane, std::uint32_t loc,
             std::uint64_t when) const
     {
         std::uint32_t value = kInitValue;
+        std::uint64_t latest = 0;
         for (const auto &[time, stored] : history[laneLoc(lane, loc)]) {
-            if (time > when)
-                break;
-            value = stored;
+            if (time <= when && time >= latest) {
+                latest = time;
+                value = stored;
+            }
         }
         return value;
     }

@@ -167,9 +167,7 @@ Sha256::digest(const void *data, std::size_t len)
     return h.finish();
 }
 
-std::array<std::uint8_t, kSha256DigestBytes>
-hmacSha256(const std::vector<std::uint8_t> &key, const void *data,
-           std::size_t len)
+HmacSha256::HmacSha256(const std::vector<std::uint8_t> &key)
 {
     std::uint8_t block_key[kSha256BlockBytes] = {};
     if (key.size() > kSha256BlockBytes) {
@@ -185,16 +183,27 @@ hmacSha256(const std::vector<std::uint8_t> &key, const void *data,
         ipad[i] = block_key[i] ^ 0x36;
         opad[i] = block_key[i] ^ 0x5c;
     }
-
-    Sha256 inner;
     inner.update(ipad, sizeof(ipad));
-    inner.update(data, len);
-    const auto inner_digest = inner.finish();
-
-    Sha256 outer;
     outer.update(opad, sizeof(opad));
-    outer.update(inner_digest.data(), inner_digest.size());
-    return outer.finish();
+}
+
+std::array<std::uint8_t, kSha256DigestBytes>
+HmacSha256::finish(Sha256 &message) const
+{
+    const auto inner_digest = message.finish();
+    Sha256 h = outer;
+    h.update(inner_digest.data(), inner_digest.size());
+    return h.finish();
+}
+
+std::array<std::uint8_t, kSha256DigestBytes>
+hmacSha256(const std::vector<std::uint8_t> &key, const void *data,
+           std::size_t len)
+{
+    const HmacSha256 mac(key);
+    Sha256 h = mac.begin();
+    h.update(data, len);
+    return mac.finish(h);
 }
 
 bool

@@ -49,7 +49,33 @@ class Sha256
     std::size_t buffered = 0;
 };
 
-/** RFC 2104 HMAC-SHA256 of @p data under @p key. */
+/**
+ * RFC 2104 HMAC-SHA256 under one key, with the key's ipad and opad
+ * blocks compressed once at construction: each message then costs
+ * its own blocks and the outer finish, and can be fed in pieces.
+ */
+class HmacSha256
+{
+  public:
+    /** Unkeyed placeholder; assign a keyed one before use. */
+    HmacSha256() = default;
+
+    explicit HmacSha256(const std::vector<std::uint8_t> &key);
+
+    /** A hash holding the keyed inner state: update() it with the
+     * message, then pass it to finish(). */
+    Sha256 begin() const { return inner; }
+
+    /** The tag of the message fed into @p message since begin(). */
+    std::array<std::uint8_t, kSha256DigestBytes>
+    finish(Sha256 &message) const;
+
+  private:
+    Sha256 inner;
+    Sha256 outer;
+};
+
+/** One-shot HMAC-SHA256 of @p data under @p key. */
 std::array<std::uint8_t, kSha256DigestBytes>
 hmacSha256(const std::vector<std::uint8_t> &key, const void *data,
            std::size_t len);

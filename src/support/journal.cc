@@ -5,7 +5,10 @@
 #include <fstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
+
+#include "support/log.h"
 
 namespace mtc
 {
@@ -101,21 +104,32 @@ writeAll(int fd, const std::uint8_t *data, std::size_t len,
 
 } // anonymous namespace
 
-JournalWriter::JournalWriter(std::string path_arg, unsigned fsync_every)
-    : path(std::move(path_arg)), fsyncEvery(fsync_every)
+JournalWriter::JournalWriter(std::string path_arg,
+                             std::function<Clock::time_point()> now_fn)
+    : path(std::move(path_arg)), now(std::move(now_fn))
 {
     fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd < 0) {
         throw JournalError("cannot open journal: " + path + ": " +
                            std::strerror(errno));
     }
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        const int err = errno;
+        ::close(fd);
+        throw JournalError("cannot stat journal: " + path + ": " +
+                           std::strerror(err));
+    }
+    fileBytes = static_cast<std::uint64_t>(st.st_size);
+    lastSync = now();
 }
 
 JournalWriter::~JournalWriter()
 {
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
+    try {
+        close();
+    } catch (const JournalError &e) {
+        warn(e.what());
     }
 }
 
@@ -127,24 +141,51 @@ JournalWriter::append(const std::vector<std::uint8_t> &payload)
     std::vector<std::uint8_t> frame;
     appendFrame(frame, payload.data(), payload.size());
     writeAll(fd, frame.data(), frame.size(), path);
+    fileBytes += frame.size();
     ++records;
-    if (++sinceSync >= fsyncEvery) {
-        sinceSync = 0;
-        if (::fsync(fd) != 0) {
-            throw JournalError("journal fsync failed: " + path + ": " +
-                               std::strerror(errno));
-        }
-    }
+    if (++pending >= kGroupRecords || now() - lastSync >= kGroupInterval)
+        fsyncNow();
 }
 
 void
 JournalWriter::sync()
 {
-    sinceSync = 0;
-    if (fd >= 0 && ::fsync(fd) != 0) {
+    if (pending)
+        fsyncNow();
+}
+
+void
+JournalWriter::close()
+{
+    if (fd < 0)
+        return;
+    try {
+        sync();
+    } catch (const JournalError &) {
+        // Closed either way, so the destructor never retries against
+        // a dead descriptor.
+        ::close(fd);
+        fd = -1;
+        throw;
+    }
+    ::close(fd);
+    fd = -1;
+    debug("journal " + path + ": " + std::to_string(records) +
+          " records appended, " + std::to_string(syncCount) +
+          " fsyncs");
+}
+
+void
+JournalWriter::fsyncNow()
+{
+    if (::fsync(fd) != 0) {
         throw JournalError("journal fsync failed: " + path + ": " +
                            std::strerror(errno));
     }
+    ++syncCount;
+    synced = fileBytes;
+    pending = 0;
+    lastSync = now();
 }
 
 JournalRecovery

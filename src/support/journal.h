@@ -10,8 +10,9 @@
  *
  *     [u32 payload length][u32 FNV-1a checksum][payload bytes]
  *
- * (little-endian, the shared codec in src/support/framing.h), appended
- * with batched fsync. On resume the reader walks the file from the
+ * (little-endian, the shared codec in src/support/framing.h), written
+ * with one write() at append and made durable by group commit (see
+ * JournalWriter). On resume the reader walks the file from the
  * front and keeps the longest prefix of intact frames; a tail torn by
  * the kill — a partial length word, a partial payload, a checksum
  * mismatch — is detected and dropped, the file is truncated back to
@@ -24,8 +25,10 @@
 #ifndef MTC_SUPPORT_JOURNAL_H
 #define MTC_SUPPORT_JOURNAL_H
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -112,49 +115,91 @@ class ByteReader
 };
 
 /**
- * Append-only journal writer with batched fsync.
+ * Append-only journal writer with group commit.
  *
- * Every append is written (frame header + payload) with one write();
- * fsync is issued every `fsync_every` records and on destruction, so
- * a crash loses at most the last batch — and whatever it loses is a
- * clean record boundary or a torn tail the reader recovers from
- * either way. Thread-compatible, not thread-safe: callers serialize
- * appends (CampaignJournal holds the mutex).
+ * Every append is written (frame header + payload) with one write(),
+ * so a killed process loses nothing it appended: the records are in
+ * the page cache and reach the disk without the process. fsync, which
+ * guards against a power loss or kernel crash instead, is issued at
+ * an append only once kGroupRecords records are pending or
+ * kGroupInterval has passed since the last fsync; sync() and close()
+ * issue one only when a record is pending. So a power loss costs at
+ * most the records appended since the last fsync: fewer than
+ * kGroupRecords, all appended within kGroupInterval of it. A record
+ * appended to a quiet journal (a slow campaign) is synced at its own
+ * append. Whatever is lost is a clean record boundary or a torn tail
+ * the reader recovers from either way. Thread-compatible, not
+ * thread-safe: callers serialize appends (CampaignJournal holds the
+ * mutex).
  */
 class JournalWriter
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
+    /** Group-commit bounds: an append fsyncs when this many records
+     * are pending ... */
+    static constexpr unsigned kGroupRecords = 256;
+
+    /** ... or when this long has passed since the last fsync (the
+     * clock starts at open). */
+    static constexpr Clock::duration kGroupInterval =
+        std::chrono::milliseconds(100);
+
     /**
      * Open @p path for appending, creating it if absent.
      *
-     * @param fsync_every Records between fsyncs; 0 syncs every record.
+     * @param now Time source for the interval bound; tests substitute
+     *            a fake clock.
      * @throws JournalError if the file cannot be opened.
      */
-    explicit JournalWriter(std::string path, unsigned fsync_every = 8);
+    explicit JournalWriter(std::string path,
+                           std::function<Clock::time_point()> now =
+                               Clock::now);
 
-    /** Flushes (fsync) and closes; I/O errors here are swallowed —
-     * throwing from a destructor mid-unwind would abort the campaign
-     * the journal exists to protect. */
+    /** close(); an I/O error here is logged, not thrown — throwing
+     * from a destructor mid-unwind would abort the campaign the
+     * journal exists to protect. */
     ~JournalWriter();
 
     JournalWriter(const JournalWriter &) = delete;
     JournalWriter &operator=(const JournalWriter &) = delete;
 
-    /** Frame @p payload and append it. @throws JournalError on I/O
-     * failure (short write, disk full). */
+    /** Frame @p payload and append it; fsync when a group bound is
+     * reached. @throws JournalError on I/O failure (short write, disk
+     * full). */
     void append(const std::vector<std::uint8_t> &payload);
 
-    /** Force an fsync now (end-of-campaign barrier). */
+    /** fsync now if any record is pending (a barrier such as the
+     * header record or the end of a dump). */
     void sync();
+
+    /** sync() and close the file; idempotent. @throws JournalError
+     * when the final fsync fails (the file is closed either way). */
+    void close();
 
     std::uint64_t recordsWritten() const { return records; }
 
+    /** fsyncs issued so far. */
+    std::uint64_t syncs() const { return syncCount; }
+
+    /** File length the last fsync covered (0 before the first): a
+     * power loss keeps at least this prefix, which ends on a frame
+     * boundary. */
+    std::uint64_t syncedBytes() const { return synced; }
+
   private:
+    void fsyncNow();
+
     std::string path;
     int fd = -1;
-    unsigned fsyncEvery;
-    unsigned sinceSync = 0;
+    std::function<Clock::time_point()> now;
+    Clock::time_point lastSync;
+    unsigned pending = 0;
     std::uint64_t records = 0;
+    std::uint64_t syncCount = 0;
+    std::uint64_t fileBytes = 0;
+    std::uint64_t synced = 0;
 };
 
 /** Result of scanning a journal file for its valid prefix. */

@@ -6,8 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "support/hmac.h"
-
 namespace mtc
 {
 
@@ -35,20 +33,19 @@ getLe64(const std::uint8_t *in)
     return v;
 }
 
-/** Truncated HMAC tag over dir || seq || payload. */
+/** Truncated HMAC tag over dir || seq || payload, streamed into a
+ * copy of the session's keyed state. */
 std::array<std::uint8_t, kFrameMacBytes>
-frameMac(const std::vector<std::uint8_t> &key, std::uint8_t dir,
-         std::uint64_t seq, const std::uint8_t *payload,
-         std::size_t len)
+frameMac(const HmacSha256 &mac, std::uint8_t dir, std::uint64_t seq,
+         const std::uint8_t *payload, std::size_t len)
 {
-    std::vector<std::uint8_t> msg;
-    msg.reserve(1 + kFrameSeqBytes + len);
-    msg.push_back(dir);
+    Sha256 h = mac.begin();
+    h.update(&dir, 1);
     std::uint8_t seq_le[kFrameSeqBytes];
     putLe64(seq_le, seq);
-    msg.insert(msg.end(), seq_le, seq_le + kFrameSeqBytes);
-    msg.insert(msg.end(), payload, payload + len);
-    const auto full = hmacSha256(key, msg.data(), msg.size());
+    h.update(seq_le, kFrameSeqBytes);
+    h.update(payload, len);
+    const auto full = mac.finish(h);
     std::array<std::uint8_t, kFrameMacBytes> tag;
     std::memcpy(tag.data(), full.data(), kFrameMacBytes);
     return tag;
@@ -75,7 +72,7 @@ Transport::Transport(Transport &&other) noexcept
     : rfd(other.rfd), wfd(other.wfd), duplex(other.duplex),
       name(std::move(other.name)), maxPayload(other.maxPayload),
       recvDeadlineMs(other.recvDeadlineMs), authOn(other.authOn),
-      authClient(other.authClient), authKey(std::move(other.authKey)),
+      authClient(other.authClient), authMac(other.authMac),
       sendSeq(other.sendSeq), recvSeq(other.recvSeq)
 {
     other.rfd = -1;
@@ -95,7 +92,7 @@ Transport::operator=(Transport &&other) noexcept
         recvDeadlineMs = other.recvDeadlineMs;
         authOn = other.authOn;
         authClient = other.authClient;
-        authKey = std::move(other.authKey);
+        authMac = other.authMac;
         sendSeq = other.sendSeq;
         recvSeq = other.recvSeq;
         other.rfd = -1;
@@ -110,7 +107,7 @@ Transport::enableFrameAuth(std::vector<std::uint8_t> session_key,
 {
     authOn = true;
     authClient = is_client;
-    authKey = std::move(session_key);
+    authMac = HmacSha256(session_key);
     sendSeq = 0;
     recvSeq = 0;
 }
@@ -133,7 +130,7 @@ Transport::buildFrame(const std::vector<std::uint8_t> &payload)
     putLe64(seq_le, seq);
     body.insert(body.end(), seq_le, seq_le + kFrameSeqBytes);
     const auto tag =
-        frameMac(authKey, dir, seq, payload.data(), payload.size());
+        frameMac(authMac, dir, seq, payload.data(), payload.size());
     body.insert(body.end(), tag.begin(), tag.end());
     appendFrame(frame, body.data(), body.size());
     return frame;
@@ -175,7 +172,7 @@ Transport::receive(std::vector<std::uint8_t> &payload)
     const std::uint8_t dir =
         authClient ? kDirServerToClient : kDirClientToServer;
     const auto expect =
-        frameMac(authKey, dir, seq, payload.data(), body_len);
+        frameMac(authMac, dir, seq, payload.data(), body_len);
     if (!constantTimeEqual(mac, expect.data(), kFrameMacBytes))
         throw AuthError(name + ": frame MAC mismatch");
     if (seq != recvSeq)

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "support/framing.h"
+#include "support/hmac.h"
 
 namespace mtc
 {
@@ -160,7 +161,7 @@ class Transport
 
     bool authOn = false;
     bool authClient = false;
-    std::vector<std::uint8_t> authKey;
+    HmacSha256 authMac; ///< session key's precomputed HMAC states
     std::uint64_t sendSeq = 0;
     std::uint64_t recvSeq = 0;
 };

@@ -18,10 +18,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -114,10 +116,12 @@ TEST(JournalFraming, WriteReadRoundTrip)
     const std::vector<std::vector<std::uint8_t>> payloads = {
         {}, {1}, {2, 3, 4}, std::vector<std::uint8_t>(1000, 0x5A)};
     {
-        JournalWriter writer(file.path(), 2);
+        JournalWriter writer(file.path());
         for (const auto &p : payloads)
             writer.append(p);
         EXPECT_EQ(writer.recordsWritten(), payloads.size());
+        writer.close();
+        EXPECT_EQ(writer.syncedBytes(), fileSize(file.path()));
     }
     const JournalRecovery recovery = readJournal(file.path());
     EXPECT_EQ(recovery.droppedBytes, 0u);
@@ -204,6 +208,101 @@ TEST(JournalFraming, CorruptedChecksumDropsTail)
     ASSERT_EQ(recovery.records.size(), 1u);
     EXPECT_EQ(recovery.records[0], (std::vector<std::uint8_t>{1, 2, 3}));
     EXPECT_GT(recovery.droppedBytes, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Group commit: when the writer fsyncs, under a clock the test moves.
+// ---------------------------------------------------------------------
+
+/** A clock that moves only when the test advances it, so the group
+ * policy is checked with no sleeps and no wall-clock bounds. It
+ * starts far from the clock's epoch, so a writer that failed to start
+ * its interval at open would sync its first append. */
+class FakeClock
+{
+  public:
+    std::function<JournalWriter::Clock::time_point()>
+    source()
+    {
+        return [this] { return t; };
+    }
+
+    void advance(JournalWriter::Clock::duration d) { t += d; }
+
+  private:
+    JournalWriter::Clock::time_point t =
+        JournalWriter::Clock::time_point(std::chrono::hours(1));
+};
+
+TEST(JournalGroupCommit, FullGroupFsyncsAtItsLastAppend)
+{
+    TempFile file("group");
+    FakeClock clock;
+    JournalWriter writer(file.path(), clock.source());
+    const std::vector<std::uint8_t> payload = {1, 2, 3};
+    for (int group = 1; group <= 2; ++group) {
+        for (unsigned i = 1; i < JournalWriter::kGroupRecords; ++i)
+            writer.append(payload);
+        EXPECT_EQ(writer.syncs(), static_cast<std::uint64_t>(group - 1));
+        writer.append(payload);
+        EXPECT_EQ(writer.syncs(), static_cast<std::uint64_t>(group));
+        EXPECT_EQ(writer.syncedBytes(), fileSize(file.path()));
+    }
+}
+
+TEST(JournalGroupCommit, AppendAfterTheIntervalFsyncs)
+{
+    TempFile file("interval");
+    FakeClock clock;
+    JournalWriter writer(file.path(), clock.source());
+    const std::vector<std::uint8_t> payload = {4, 5};
+
+    // The clock starts at open: a first append a full interval later
+    // is synced on its own.
+    clock.advance(JournalWriter::kGroupInterval);
+    writer.append(payload);
+    EXPECT_EQ(writer.syncs(), 1u);
+
+    // Just inside the interval nothing is synced; at it, the append
+    // syncs both pending records.
+    clock.advance(JournalWriter::kGroupInterval -
+                  JournalWriter::Clock::duration(1));
+    writer.append(payload);
+    EXPECT_EQ(writer.syncs(), 1u);
+    const std::uint64_t covered = writer.syncedBytes();
+    clock.advance(JournalWriter::Clock::duration(1));
+    writer.append(payload);
+    EXPECT_EQ(writer.syncs(), 2u);
+    EXPECT_EQ(writer.syncedBytes(),
+              covered + 2 * (kFrameHeaderBytes + payload.size()));
+
+    // The interval restarts at each fsync.
+    writer.append(payload);
+    EXPECT_EQ(writer.syncs(), 2u);
+}
+
+TEST(JournalGroupCommit, SyncAndCloseFsyncOnlyAPendingTail)
+{
+    TempFile file("tail");
+    FakeClock clock;
+    {
+        JournalWriter writer(file.path(), clock.source());
+        writer.sync();
+        writer.close();
+        EXPECT_EQ(writer.syncs(), 0u);
+    }
+    JournalWriter writer(file.path(), clock.source());
+    writer.append({1});
+    writer.sync(); // a barrier, as after a header record
+    EXPECT_EQ(writer.syncs(), 1u);
+    writer.sync();
+    EXPECT_EQ(writer.syncs(), 1u);
+    writer.append({2});
+    writer.close();
+    EXPECT_EQ(writer.syncs(), 2u);
+    EXPECT_EQ(writer.syncedBytes(), fileSize(file.path()));
+    writer.close();
+    EXPECT_EQ(writer.syncs(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -572,6 +671,122 @@ TEST(CheckpointResume, ResumeAfterMidRecordKillIsBitIdentical)
         for (std::size_t i = 0; i < baseline.size(); ++i)
             expectSummariesIdentical(baseline[i], after[i]);
     }
+}
+
+/** Intact records of the journal at @p path, header first. */
+std::vector<std::vector<std::uint8_t>>
+journalRecords(const std::string &path)
+{
+    const JournalRecovery recovery = readJournal(path);
+    EXPECT_EQ(recovery.droppedBytes, 0u);
+    return recovery.records;
+}
+
+unsigned
+replayedUnits(const std::vector<ConfigSummary> &summaries)
+{
+    unsigned n = 0;
+    for (const ConfigSummary &s : summaries)
+        n += s.replayedUnits;
+    return n;
+}
+
+TEST(CheckpointResume, SigkillBeforeCloseKeepsEveryAppendedRecord)
+{
+    // Group commit defers fsync, never the write: a process killed
+    // before close leaves every appended record in the file.
+    const CampaignConfig base = faultyCampaign();
+    TempFile master("sigkill_master");
+    CampaignConfig journaled = base;
+    journaled.journalPath = master.path();
+    const auto baseline = runCampaign(resumeConfigs(), journaled);
+    const auto records = journalRecords(master.path());
+    ASSERT_EQ(records.size(), 7u); // header + 2 configs x 3 tests
+    const std::size_t appended = 5;
+
+    TempFile killed("sigkill_journal");
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        try {
+            CampaignJournal journal(
+                killed.path(), campaignIdentity(resumeConfigs(), base),
+                false);
+            for (std::size_t i = 1; i <= appended; ++i)
+                journal.append(decodeUnitRecord(records[i]));
+            ::kill(::getpid(), SIGKILL);
+        } catch (...) {
+        }
+        ::_exit(1); // reached only on failure; never back into gtest
+    }
+    const ChildExit ce = waitChild(child);
+    ASSERT_TRUE(ce.signaled);
+    ASSERT_EQ(ce.signal, SIGKILL);
+
+    const auto kept = journalRecords(killed.path());
+    ASSERT_EQ(kept.size(), appended + 1);
+    for (std::size_t i = 0; i < kept.size(); ++i)
+        EXPECT_EQ(kept[i], records[i]) << "record " << i;
+
+    CampaignConfig resumed = base;
+    resumed.journalPath = killed.path();
+    resumed.resume = true;
+    const auto after = runCampaign(resumeConfigs(), resumed);
+    EXPECT_EQ(replayedUnits(after), appended);
+    ASSERT_EQ(after.size(), baseline.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i)
+        expectSummariesIdentical(baseline[i], after[i]);
+}
+
+TEST(CheckpointResume, PowerLossKeepsTheSyncedPrefixAndResumesBitIdentical)
+{
+    // The storage rule: a power loss discards whatever the last fsync
+    // did not cover. Rewrite a finished campaign's journal the way
+    // CampaignJournal writes it (header, then a barrier), let the
+    // interval bound sync the third unit, append the rest unsynced,
+    // and cut a copy at the length the writer says its fsync covered.
+    const CampaignConfig base = faultyCampaign();
+    TempFile master("power_master");
+    CampaignConfig journaled = base;
+    journaled.journalPath = master.path();
+    const auto baseline = runCampaign(resumeConfigs(), journaled);
+    const auto records = journalRecords(master.path());
+    ASSERT_EQ(records.size(), 7u);
+    const std::size_t synced_units = 3;
+
+    TempFile lossy("power_journal");
+    TempFile cut("power_cut");
+    FakeClock clock;
+    JournalWriter writer(lossy.path(), clock.source());
+    writer.append(records[0]);
+    writer.sync();
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        if (i == synced_units)
+            clock.advance(JournalWriter::kGroupInterval);
+        writer.append(records[i]);
+    }
+    EXPECT_EQ(writer.syncs(), 2u);
+    const std::uint64_t covered = writer.syncedBytes();
+    ASSERT_LT(covered, fileSize(lossy.path()));
+    fs::copy_file(lossy.path(), cut.path(),
+                  fs::copy_options::overwrite_existing);
+    fs::resize_file(cut.path(), covered);
+
+    const JournalRecovery recovery = readJournal(cut.path());
+    EXPECT_EQ(recovery.droppedBytes, 0u); // ends on a frame boundary
+    EXPECT_EQ(recovery.validBytes, covered);
+    ASSERT_EQ(recovery.records.size(), synced_units + 1);
+    for (std::size_t i = 0; i < recovery.records.size(); ++i)
+        EXPECT_EQ(recovery.records[i], records[i]) << "record " << i;
+
+    CampaignConfig resumed = base;
+    resumed.journalPath = cut.path();
+    resumed.resume = true;
+    const auto after = runCampaign(resumeConfigs(), resumed);
+    EXPECT_EQ(replayedUnits(after), synced_units);
+    ASSERT_EQ(after.size(), baseline.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i)
+        expectSummariesIdentical(baseline[i], after[i]);
 }
 
 TEST(CheckpointResume, FullyJournaledResumeReplaysWallClockToo)

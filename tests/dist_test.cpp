@@ -1048,6 +1048,96 @@ TEST(DistributedCampaign, NonIpv4HostIsAConfigError)
 // Authenticated transport: keyed handshakes, rejections, hardening.
 // ---------------------------------------------------------------------
 
+std::string
+hexOf(const std::uint8_t *bytes, std::size_t len)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (std::size_t i = 0; i < len; ++i) {
+        out += digits[bytes[i] >> 4];
+        out += digits[bytes[i] & 0xF];
+    }
+    return out;
+}
+
+TEST(Sha256, Fips180ExampleDigests)
+{
+    const auto digest = [](const std::string &msg) {
+        const auto d = Sha256::digest(msg.data(), msg.size());
+        return hexOf(d.data(), d.size());
+    };
+    EXPECT_EQ(digest(""), "e3b0c44298fc1c149afbf4c8996fb924"
+                          "27ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(digest("abc"), "ba7816bf8f01cfea414140de5dae2223"
+                             "b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(
+        digest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+        "248d6a61d20638b8e5c026930c3e6039"
+        "a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256, Rfc4231HmacVectors)
+{
+    const auto mac = [](const std::vector<std::uint8_t> &key,
+                        const std::string &msg) {
+        const auto d = hmacSha256(key, msg.data(), msg.size());
+        return hexOf(d.data(), d.size());
+    };
+    EXPECT_EQ(mac(std::vector<std::uint8_t>(20, 0x0b), "Hi There"),
+              "b0344c61d8db38535ca8afceaf0bf12b"
+              "881dc200c9833da726e9376c2e32cff7");
+    EXPECT_EQ(mac({'J', 'e', 'f', 'e'}, "what do ya want for nothing?"),
+              "5bdcc146bf60754e6a042426089575c7"
+              "5a003f089d2739839dec58b964ec3843");
+    // A key longer than the block is hashed first.
+    EXPECT_EQ(mac(std::vector<std::uint8_t>(131, 0xaa),
+                  "Test Using Larger Than Block-Size Key - Hash Key "
+                  "First"),
+              "60e431591ee0b67f0d8a26aacbf5b77f"
+              "8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(FrameMac, TagsMatchOneShotHmacAcrossPaddingBoundaries)
+{
+    // The envelope MACs dir || seq || payload (9 + len bytes after
+    // the key block) into a copy of the session's keyed state. Every
+    // payload length from 0 to 130 crosses the 55/56-byte padding
+    // split and the 64-byte block edge twice; each tag must equal a
+    // one-shot HMAC over the same bytes, frame after frame.
+    for (const std::size_t key_len : {std::size_t(32), std::size_t(100)}) {
+        std::vector<std::uint8_t> key(key_len);
+        for (std::size_t i = 0; i < key_len; ++i)
+            key[i] = static_cast<std::uint8_t>(i * 13 + 1);
+        for (const bool client : {true, false}) {
+            Transport link;
+            link.enableFrameAuth(key, client);
+            const std::uint8_t dir = client ? 'C' : 'S';
+            for (std::size_t len = 0; len <= 130; ++len) {
+                std::vector<std::uint8_t> payload(len);
+                for (std::size_t i = 0; i < len; ++i)
+                    payload[i] = static_cast<std::uint8_t>(i * 7 + len);
+                const std::vector<std::uint8_t> frame =
+                    link.buildFrame(payload);
+                ASSERT_EQ(frame.size(),
+                          kFrameHeaderBytes + len + kFrameAuthBytes);
+                const std::uint8_t *seq =
+                    frame.data() + kFrameHeaderBytes + len;
+                const std::uint8_t *tag = seq + kFrameSeqBytes;
+
+                std::vector<std::uint8_t> msg{dir};
+                msg.insert(msg.end(), seq, seq + kFrameSeqBytes);
+                msg.insert(msg.end(), payload.begin(), payload.end());
+                const auto expect =
+                    hmacSha256(key, msg.data(), msg.size());
+                EXPECT_EQ(hexOf(tag, kFrameMacBytes),
+                          hexOf(expect.data(), kFrameMacBytes))
+                    << "key " << key_len << ", payload " << len;
+                EXPECT_EQ(seq[0], static_cast<std::uint8_t>(len));
+            }
+        }
+    }
+}
+
 /** A fabric key file on disk (32 printable bytes + newline). */
 class TempKeyFile
 {

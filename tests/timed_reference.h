@@ -263,22 +263,25 @@ class ReferenceTimedExecutor
     }
 
     /**
-     * The stale value a squash-free load snooped at @p when: @p loc's
-     * stores in perform order, up to the first one stamped later than
+     * The stale value a squash-free load snooped at @p when: the value
+     * of @p loc's store with the latest perform time at or before
      * @p when. Perform times are not monotone (a short-latency op can
-     * complete before the previous perform's time), so this is not
-     * "the last store at or before @p when".
+     * complete before the previous perform's time), so the newest
+     * perform is not necessarily the answer; among stores stamped
+     * alike, the later perform wins.
      */
     std::uint32_t
     valueAsOf(std::uint32_t loc, std::uint64_t when) const
     {
-        std::uint32_t value = kInitValue;
-        for (const auto &[time, stored] : history[loc]) {
-            if (time > when)
-                break;
-            value = stored;
+        std::optional<std::pair<std::uint64_t, std::uint32_t>> best;
+        // Newest perform first, replaced only by a strictly later
+        // time, so a tie keeps the later perform.
+        for (auto it = history[loc].rbegin(); it != history[loc].rend();
+             ++it) {
+            if (it->first <= when && (!best || it->first > best->first))
+                best = *it;
         }
-        return value;
+        return best ? best->second : kInitValue;
     }
 
     /** Value a po-earlier, still-incomplete same-location store of

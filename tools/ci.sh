@@ -13,11 +13,11 @@
 # The sandbox passes then prove real crash containment end to end: a
 # --die-after drill SIGSEGVs a worker mid-campaign and the run must
 # finish every other unit and exit with the documented crash code, and
-# the kill-and-resume smoke is repeated in sandbox mode. The parity
-# smoke runs one faulted campaign through mtc_validate in every
-# execution mode and requires the summary and exit code of
-# mtc_coordinator --serial, byte for byte. The distributed smoke
-# closes the loop for the TCP fabric: a coordinator
+# the kill-and-resume smoke is repeated in sandbox and distributed
+# mode. The parity smoke runs one faulted campaign through
+# mtc_validate in every execution mode and requires the summary and
+# exit code of mtc_coordinator --serial, byte for byte. The
+# distributed smoke closes the loop for the TCP fabric: a coordinator
 # plus two external workers, one SIGKILLed mid-run, and the summary
 # (digests included) must be byte-identical to the serial run. The
 # trace round-trip smoke covers the offline split: a --dump-trace
@@ -201,6 +201,15 @@ resume_smoke ./build/tools/mtc_validate sbx 2 --sandbox --threads 2
 echo "=== kill-and-resume smoke (sandbox, asan) ==="
 resume_smoke ./build-asan/tools/mtc_validate sbx_asan 4 \
     --sandbox --threads 2 --sandbox-mem-mb 2048
+
+# Distributed kill-and-resume: mtc_validate is the fabric's coordinator
+# and the journal's only writer. The SIGKILL lands on it; PDEATHSIG
+# ends its loopback fleet, the resume brings up a fresh one, and the
+# resumed summary must match the uninterrupted distributed run.
+echo "=== kill-and-resume smoke (distributed, plain) ==="
+resume_smoke ./build/tools/mtc_validate dist 1 --distributed 2
+echo "=== kill-and-resume smoke (distributed, asan) ==="
+resume_smoke ./build-asan/tools/mtc_validate dist_asan 4 --distributed 2
 
 # Containment smoke: a --die-after drill raises a REAL SIGSEGV in a
 # worker mid-campaign. The campaign must survive it, complete every
