@@ -1,8 +1,7 @@
 /**
  * @file
  * Execution hot-path sweep: single-thread campaign throughput with the
- * batched lockstep engine versus scalar stepping versus per-iteration
- * arena reconstruction (the pre-arena behavior), emitted as
+ * batched lockstep engine versus scalar stepping, emitted as
  * BENCH_hotpath.json so the hot-path trajectory is tracked from PR to
  * PR.
  *
@@ -11,19 +10,12 @@
  * flow), so every pass sees the very same programs and iteration
  * seeds. That is the bench's own seeding, not a campaign's
  * (deriveTestPlans), so its numbers are comparable only with its own
- * earlier records. `deterministic` asserts that all three passes
- * produced identical per-test results INCLUDING the signature-set
- * digest — batched, scalar, and arena-rebuilding runs must observe the
- * exact same signature multiset; a divergence is a lockstep-engine or
- * hot-path bug and fails the bench.
- *
- * A fourth, barrier pass runs the retired decode-all-then-check-all
- * pipeline (streamCheck off) as the A/B baseline for the streaming
- * pipeline: barrierDecodeMs/streamDecodeMs and barrierCheckMs/
- * streamCheckMs compare the same work item for item, and
+ * earlier records. `deterministic` asserts that both passes produced
+ * identical per-test results INCLUDING the signature-set digest —
+ * batched and scalar runs must observe the exact same signature
+ * multiset; a divergence is a lockstep-engine bug and fails the bench.
  * sliceReuseRate records how much of the decode the sorted-stream
- * delta actually skipped. The decode phase is batch-width independent,
- * so the batched (streaming) pass is a fair comparison.
+ * delta skipped in the batched pass.
  *
  * The per-phase wall-clock breakdown (FlowConfig::profile) of the
  * batched run is recorded so "where does an iteration go" stays a
@@ -89,18 +81,11 @@ struct RunResult
     std::uint64_t sliceDecodes = 0; ///< slices peeled in full
 };
 
-struct PassKnobs
-{
-    std::uint32_t batch = 0; ///< FlowConfig::batch (1 = scalar)
-    bool reuseArena = true;
-    bool streamCheck = true; ///< false = barrier pipeline baseline
-};
-
-/** One pass over every config, one seed stream per config. */
+/** One pass over every config, one seed stream per config, at lockstep
+ * width @p batch (FlowConfig::batch; 1 = scalar). */
 RunResult
 runPass(const std::vector<TestConfig> &configs, unsigned tests,
-        std::uint64_t iterations, std::uint64_t seed,
-        const PassKnobs &knobs)
+        std::uint64_t iterations, std::uint64_t seed, std::uint32_t batch)
 {
     RunResult result;
     WallTimer timer;
@@ -111,9 +96,7 @@ runPass(const std::vector<TestConfig> &configs, unsigned tests,
         flow_cfg.runConventional = false;
         flow_cfg.exec = bareMetalConfig(cfg.isa);
         flow_cfg.profile = true;
-        flow_cfg.batch = knobs.batch;
-        flow_cfg.reuseArena = knobs.reuseArena;
-        flow_cfg.streamCheck = knobs.streamCheck;
+        flow_cfg.batch = batch;
 
         Rng seeder(seed);
         for (unsigned t = 0; t < tests; ++t) {
@@ -220,38 +203,23 @@ main(int argc, char **argv)
     std::cout << "Hot-path sweep: " << configs.size() << " configs x "
               << tests << " tests x " << iterations
               << " iterations; batched (B=" << batch
-              << ") vs scalar vs per-iteration arena vs barrier "
-                 "pipeline\n\n";
+              << ") vs scalar\n\n";
 
     // Untimed warm-up (one config, one test) so no timed pass pays the
     // process cold-start (page faults, lazy PLT, predictor warm-up) —
     // without it, whichever pass runs first loses ~2%.
-    runPass({configs.front()}, 1, iterations, seed,
-            {batch, true, true});
+    runPass({configs.front()}, 1, iterations, seed, batch);
 
-    // Batched pass: the shipping configuration (lockstep engine,
-    // reused arena, streaming decode→check pipeline).
+    // Batched pass: the shipping configuration (lockstep engine).
     const RunResult batched =
-        runPass(configs, tests, iterations, seed, {batch, true, true});
+        runPass(configs, tests, iterations, seed, batch);
     // Scalar pass: same hot path at width 1 — the lockstep-speedup
     // baseline.
-    const RunResult scalar =
-        runPass(configs, tests, iterations, seed, {1, true, true});
-    // Fresh pass: per-iteration arena reconstruction (pre-arena
-    // behavior), tracked as the allocation-discipline baseline.
-    const RunResult fresh =
-        runPass(configs, tests, iterations, seed, {batch, false, true});
-    // Barrier pass: decode-all-then-check-all (the retired pipeline),
-    // the A/B baseline for the streaming decode and check numbers.
-    const RunResult barrier =
-        runPass(configs, tests, iterations, seed, {batch, true, false});
+    const RunResult scalar = runPass(configs, tests, iterations, seed, 1);
 
-    const bool deterministic = batched.outcomes == scalar.outcomes &&
-        batched.outcomes == fresh.outcomes &&
-        batched.outcomes == barrier.outcomes;
+    const bool deterministic = batched.outcomes == scalar.outcomes;
     const double batched_ips = itersPerSec(batched);
     const double scalar_ips = itersPerSec(scalar);
-    const double fresh_ips = itersPerSec(fresh);
     const double batch_speedup =
         batched.ms > 0.0 ? scalar.ms / batched.ms : 0.0;
     const double exec_speedup = phaseMs(batched, Phase::Execute) > 0.0
@@ -259,13 +227,6 @@ main(int argc, char **argv)
             phaseMs(batched, Phase::Execute)
         : 0.0;
 
-    const double barrier_decode_ms = phaseMs(barrier, Phase::Decode);
-    const double stream_decode_ms = phaseMs(batched, Phase::Decode);
-    const double decode_speedup = stream_decode_ms > 0.0
-        ? barrier_decode_ms / stream_decode_ms
-        : 0.0;
-    const double barrier_check_ms = phaseMs(barrier, Phase::Check);
-    const double stream_check_ms = phaseMs(batched, Phase::Check);
     const std::uint64_t slice_total =
         batched.sliceReuses + batched.sliceDecodes;
     const double slice_reuse_rate = slice_total
@@ -279,32 +240,15 @@ main(int argc, char **argv)
                   TablePrinter::fmt(batched_ips, 0)});
     table.addRow({"scalar (B=1)", TablePrinter::fmt(scalar.ms, 1),
                   TablePrinter::fmt(scalar_ips, 0)});
-    table.addRow({"fresh (rebuilt arena)",
-                  TablePrinter::fmt(fresh.ms, 1),
-                  TablePrinter::fmt(fresh_ips, 0)});
-    table.addRow({"barrier (no streaming)",
-                  TablePrinter::fmt(barrier.ms, 1),
-                  TablePrinter::fmt(itersPerSec(barrier), 0)});
     table.print(std::cout);
 
     std::cout << "\nbatched vs scalar: "
               << TablePrinter::fmt(batch_speedup, 2) << "x overall, "
               << TablePrinter::fmt(exec_speedup, 2)
               << "x execute phase\n";
-    std::cout << "streaming decode: "
-              << TablePrinter::fmt(barrier_decode_ms, 1)
-              << " ms barrier -> "
-              << TablePrinter::fmt(stream_decode_ms, 1)
-              << " ms streamed ("
-              << TablePrinter::fmt(decode_speedup, 2)
-              << "x, slice reuse "
+    std::cout << "delta decode slice reuse: "
               << TablePrinter::fmt(100.0 * slice_reuse_rate, 1)
-              << "%)\n";
-    std::cout << "streaming check: "
-              << TablePrinter::fmt(barrier_check_ms, 1)
-              << " ms barrier -> "
-              << TablePrinter::fmt(stream_check_ms, 1)
-              << " ms streamed\n";
+              << "%\n";
 
     std::cout << "\nhot-path profile (batched run, campaign totals):\n";
     TablePrinter phases({"phase", "time (ms)", "share", "calls"});
@@ -340,8 +284,8 @@ main(int argc, char **argv)
                   << "x\n";
     }
     if (!deterministic)
-        std::cerr << "hotpath: DETERMINISM VIOLATION — batched, "
-                     "scalar, and fresh-arena passes diverged\n";
+        std::cerr << "hotpath: DETERMINISM VIOLATION — batched and "
+                     "scalar passes diverged\n";
 
     // --- JSON emission ----------------------------------------------
     std::ostringstream json;
@@ -361,22 +305,9 @@ main(int argc, char **argv)
          << "  \"scalarMs\": " << fmtDouble(scalar.ms) << ",\n"
          << "  \"scalarItersPerSec\": " << fmtDouble(scalar_ips)
          << ",\n"
-         << "  \"freshMs\": " << fmtDouble(fresh.ms) << ",\n"
-         << "  \"freshItersPerSec\": " << fmtDouble(fresh_ips) << ",\n"
          << "  \"batchSpeedupVsScalar\": " << fmtDouble(batch_speedup)
          << ",\n"
          << "  \"executeSpeedupVsScalar\": " << fmtDouble(exec_speedup)
-         << ",\n"
-         << "  \"barrierMs\": " << fmtDouble(barrier.ms) << ",\n"
-         << "  \"barrierDecodeMs\": " << fmtDouble(barrier_decode_ms)
-         << ",\n"
-         << "  \"streamDecodeMs\": " << fmtDouble(stream_decode_ms)
-         << ",\n"
-         << "  \"decodeSpeedupVsBarrier\": "
-         << fmtDouble(decode_speedup) << ",\n"
-         << "  \"barrierCheckMs\": " << fmtDouble(barrier_check_ms)
-         << ",\n"
-         << "  \"streamCheckMs\": " << fmtDouble(stream_check_ms)
          << ",\n"
          << "  \"sliceReuseRate\": " << fmtDouble(slice_reuse_rate)
          << ",\n"

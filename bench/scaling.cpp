@@ -1,20 +1,24 @@
 /**
  * @file
  * Parallel-scaling sweep of the validation engine: campaign
- * throughput across worker-thread counts and collective-checker shard
- * sizes, emitted as BENCH_scaling.json so the perf trajectory is
- * tracked from PR to PR.
+ * throughput across worker-thread counts and the collective checker's
+ * sharding tax, emitted as BENCH_scaling.json so the perf trajectory
+ * is tracked from PR to PR.
  *
  * Two sweeps:
  *  - threads: the same campaign run with 1, 2, 4, 8 workers.
  *    Summaries must be bit-identical to the 1-thread baseline (the
  *    sweep hard-checks this and reports `deterministic` per point);
  *    speedup is wall-clock relative to 1 thread.
- *  - shards: the same campaign at a fixed thread count across shard
- *    sizes. Sharding trades one extra complete sort per shard for
- *    shard-level parallelism; the sweep records the checker-work
- *    delta (extra sorts, extra vertices+edges processed) so the
- *    tradeoff stays measured instead of folklore.
+ *  - shards: the baseline campaign's units re-derived from their
+ *    plans and their unique executions checked by
+ *    checkCollectiveSharded (below; no shipped path shards) across
+ *    shard sizes. Each shard trades one extra complete sort for
+ *    independence from the others — the paper's parallelization
+ *    tax — so the sweep records the checker work and complete sorts
+ *    per shard size, and fails unless every sharded verdict equals
+ *    the unsharded one and no shard costs more than one extra
+ *    complete sort.
  *
  * A third measurement prices the crash-resilience layer: the serial
  * baseline re-run with a write-ahead campaign journal attached
@@ -54,6 +58,7 @@
  * rotting).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,8 +70,12 @@
 
 #include <unistd.h>
 
+#include "core/collective_checker.h"
+#include "graph/graph_builder.h"
 #include "harness/campaign.h"
+#include "harness/campaign_plan.h"
 #include "harness/trace_check.h"
+#include "harness/validation_flow.h"
 #include "support/table.h"
 #include "support/timer.h"
 #include "testgen/generator.h"
@@ -112,7 +121,6 @@ summariesMatch(const std::vector<ConfigSummary> &a,
 struct SweepPoint
 {
     unsigned threads = 1;
-    std::size_t shardSize = 0;
     double ms = 0.0;
     double speedup = 1.0;
     std::uint64_t collectiveWork = 0;
@@ -136,6 +144,101 @@ totalCompleteSorts(const std::vector<ConfigSummary> &summaries)
     for (const ConfigSummary &s : summaries)
         sorts += s.collectiveCompleteSorts;
     return sorts;
+}
+
+/**
+ * Check an ordered batch cut into contiguous shards of @p shard_size
+ * edge sets, one fresh CollectiveChecker per shard, shard after shard.
+ * Each shard starts without a maintained order and so pays one extra
+ * complete sort, but shards share no state, so the verdicts equal an
+ * unsharded check's. @p shard_size 0 checks unsharded. Verdicts come
+ * back in batch order; @p stats receives the merged accounting of all
+ * shards.
+ */
+std::vector<bool>
+checkCollectiveSharded(const TestProgram &program, MemoryModel model,
+                       const std::vector<DynamicEdgeSet> &ordered,
+                       std::size_t shard_size, CollectiveStats &stats)
+{
+    const std::size_t step = shard_size ? shard_size : ordered.size();
+    std::vector<bool> verdicts;
+    verdicts.reserve(ordered.size());
+    for (std::size_t begin = 0; begin < ordered.size(); begin += step) {
+        const std::size_t end = std::min(begin + step, ordered.size());
+        CollectiveChecker checker(program, model);
+        for (std::size_t i = begin; i < end; ++i)
+            verdicts.push_back(checker.checkNext(ordered[i]));
+        stats.merge(checker.stats());
+    }
+    return verdicts;
+}
+
+/** Totals of checkCollectiveSharded over a campaign at one shard size. */
+struct ShardPoint
+{
+    std::size_t shardSize = 0;
+    std::uint64_t shards = 0;
+    std::uint64_t collectiveWork = 0;
+    std::uint64_t completeSorts = 0;
+    bool verdictsMatch = true; ///< every verdict equals the unsharded one
+    bool taxBounded = true;    ///< <= 1 extra complete sort per shard
+};
+
+/**
+ * Re-derive every unit of @p campaign over @p configs from its plan
+ * (deriveTestPlans and flowTemplate, the seeds runCampaign's first
+ * attempt uses), keep its unique executions in ascending signature
+ * order, and check their edge sets at each of @p shard_sizes, whose
+ * first entry must be 0 (the unsharded reference).
+ */
+std::vector<ShardPoint>
+shardSweep(const std::vector<TestConfig> &configs,
+           const CampaignConfig &campaign,
+           const std::vector<std::size_t> &shard_sizes)
+{
+    std::vector<ShardPoint> points(shard_sizes.size());
+    for (std::size_t i = 0; i < shard_sizes.size(); ++i)
+        points[i].shardSize = shard_sizes[i];
+    for (const TestConfig &cfg : configs) {
+        FlowConfig flow = flowTemplate(cfg, campaign);
+        flow.keepExecutions = true;
+        const MemoryModel model =
+            flow.coherent ? flow.coherent->model : flow.exec.model;
+        for (const TestPlan &plan : deriveTestPlans(cfg, campaign)) {
+            const TestProgram program = generateTest(cfg, plan.genSeed);
+            flow.seed = plan.flowSeed;
+            const FlowResult result = ValidationFlow(flow).runTest(program);
+            std::vector<DynamicEdgeSet> ordered;
+            ordered.reserve(result.executions.size());
+            for (const Execution &execution : result.executions)
+                ordered.push_back(dynamicEdges(program, execution));
+
+            std::vector<bool> unsharded;
+            std::uint64_t unsharded_sorts = 0;
+            for (ShardPoint &point : points) {
+                CollectiveStats stats;
+                const std::vector<bool> verdicts = checkCollectiveSharded(
+                    program, model, ordered, point.shardSize, stats);
+                const std::uint64_t shards = point.shardSize
+                    ? (ordered.size() + point.shardSize - 1) /
+                        point.shardSize
+                    : 1;
+                if (point.shardSize == 0) {
+                    unsharded = verdicts;
+                    unsharded_sorts = stats.completeSorts;
+                }
+                point.shards += shards;
+                point.collectiveWork +=
+                    stats.verticesProcessed + stats.edgesProcessed;
+                point.completeSorts += stats.completeSorts;
+                point.verdictsMatch =
+                    point.verdictsMatch && verdicts == unsharded;
+                point.taxBounded = point.taxBounded &&
+                    stats.completeSorts <= unsharded_sorts + shards;
+            }
+        }
+    }
+    return points;
 }
 
 std::string
@@ -280,38 +383,20 @@ main(int argc, char **argv)
         }
     }
 
-    // --- Shard sweep (at the widest swept thread count) --------------
-    const std::vector<std::size_t> shard_sizes =
+    // --- Shard sweep (serial work counts) -----------------------------
+    // The tax is a count of checker work, so the shards are checked
+    // one after another and no wall-clock is recorded. The unsharded
+    // point must reproduce the baseline campaign's own checker work:
+    // the sweep re-derives exactly the units runCampaign checked.
+    const std::vector<ShardPoint> shard_points = shardSweep(
+        configs, serial,
         smoke ? std::vector<std::size_t>{0, 8}
-              : std::vector<std::size_t>{0, 8, 32, 128};
-    for (std::size_t shard : shard_sizes) {
-        if (shard == 0)
-            continue; // the unsharded point is the thread sweep's
-        CampaignConfig cfg = base;
-        cfg.threads = thread_counts.back();
-        cfg.shardSize = shard;
-        WallTimer timer;
-        timer.start();
-        const auto summaries = runCampaign(configs, cfg);
-        timer.stop();
-
-        SweepPoint point;
-        point.threads = cfg.threads;
-        point.shardSize = shard;
-        point.ms = timer.milliseconds();
-        point.speedup = point.ms > 0.0 ? baseline_ms / point.ms : 0.0;
-        point.collectiveWork = totalCollectiveWork(summaries);
-        point.completeSorts = totalCompleteSorts(summaries);
-        // Sharding legitimately changes checker stats (one extra full
-        // sort per shard), so determinism is judged against a serial
-        // run at the same shard size, not against the unsharded
-        // baseline.
-        CampaignConfig check = cfg;
-        check.threads = 1;
-        point.deterministic =
-            summariesMatch(summaries, runCampaign(configs, check));
-        points.push_back(point);
-    }
+              : std::vector<std::size_t>{0, 8, 32, 128});
+    const bool shard_reproduces_campaign =
+        shard_points.front().collectiveWork ==
+            totalCollectiveWork(baseline_summaries) &&
+        shard_points.front().completeSorts ==
+            totalCompleteSorts(baseline_summaries);
 
     // --- Journal overhead (serial, journaled, then resumed) ----------
     // Methodology: the journal run is the exact serial baseline
@@ -609,14 +694,11 @@ main(int argc, char **argv)
     }
 
     // --- Report ------------------------------------------------------
-    TablePrinter table({"threads", "shard", "ms", "speedup",
+    TablePrinter table({"threads", "ms", "speedup",
                         "collective work", "complete sorts",
                         "deterministic"});
     for (const SweepPoint &p : points) {
         table.addRow({TablePrinter::fmt(std::uint64_t(p.threads)),
-                      p.shardSize
-                          ? TablePrinter::fmt(std::uint64_t(p.shardSize))
-                          : std::string("-"),
                       TablePrinter::fmt(p.ms, 1),
                       TablePrinter::fmt(p.speedup, 2),
                       TablePrinter::fmt(p.collectiveWork),
@@ -624,12 +706,28 @@ main(int argc, char **argv)
                       p.deterministic ? "yes" : "NO"});
     }
     table.print(std::cout);
-    std::cout << "\nShard reading guide: each shard pays one extra "
-                 "complete sort (the paper's\nparallelization tax); "
-                 "`collective work` rises accordingly as shards "
-                 "shrink.\nWall-clock speedup is bounded by hardware "
-                 "threads ("
+    std::cout << "\nWall-clock speedup is bounded by hardware threads ("
               << hw << " here).\n";
+
+    std::cout << "\nCollective-checker shard tax (serial work counts; "
+                 "shard 0 = unsharded):\n";
+    TablePrinter st({"shard", "shards", "collective work",
+                     "complete sorts", "verdicts", "tax <= 1 sort"});
+    for (const ShardPoint &p : shard_points) {
+        st.addRow({TablePrinter::fmt(std::uint64_t(p.shardSize)),
+                   TablePrinter::fmt(p.shards),
+                   TablePrinter::fmt(p.collectiveWork),
+                   TablePrinter::fmt(p.completeSorts),
+                   p.verdictsMatch ? "same" : "DIFFER",
+                   p.taxBounded ? "yes" : "NO"});
+    }
+    st.print(std::cout);
+    std::cout << "Each shard pays one extra complete sort (the paper's "
+                 "parallelization tax);\n`collective work` rises "
+                 "accordingly as shards shrink. Unsharded work "
+              << (shard_reproduces_campaign ? "matches"
+                                            : "DIFFERS FROM")
+              << " the campaign's.\n";
 
     std::cout << "\nLockstep batch-width sweep (serial, speedup vs "
                  "B=1):\n";
@@ -742,6 +840,14 @@ main(int argc, char **argv)
     if (!all_deterministic)
         std::cerr << "scaling: DETERMINISM VIOLATION — parallel "
                      "summaries diverged from serial baseline\n";
+    bool shard_ok = shard_reproduces_campaign;
+    for (const ShardPoint &p : shard_points)
+        shard_ok = shard_ok && p.verdictsMatch && p.taxBounded;
+    if (!shard_ok)
+        std::cerr << "scaling: SHARD SWEEP FAILED — a sharded verdict "
+                     "differs from the unsharded one, a shard cost more "
+                     "than one extra complete sort, or the unsharded "
+                     "work differs from the campaign's\n";
 
     // --- JSON emission ----------------------------------------------
     std::ostringstream json;
@@ -923,11 +1029,38 @@ main(int argc, char **argv)
         }
         json << "\n  },\n";
     }
+    json << "  \"shardSweep\": {\n"
+         << "    \"methodology\": \"every unit of the serial baseline "
+            "campaign re-derived from its plan, its unique executions "
+            "kept in ascending signature order as full edge sets, then "
+            "checked by checkCollectiveSharded: contiguous shards of "
+            "shardSize edge sets, one fresh collective checker per "
+            "shard, shards checked one after another (the tax is a work "
+            "count; shardSize 0 is unsharded and must reproduce the "
+            "baseline campaign's checker work); verdictsMatch: every "
+            "sharded verdict equals the unsharded one; taxBounded: per "
+            "unit, complete sorts <= unsharded complete sorts + "
+            "shards\",\n"
+         << "    \"reproducesCampaign\": "
+         << (shard_reproduces_campaign ? "true" : "false") << ",\n"
+         << "    \"sweep\": [\n";
+    for (std::size_t i = 0; i < shard_points.size(); ++i) {
+        const ShardPoint &p = shard_points[i];
+        json << "      {\"shardSize\": " << p.shardSize
+             << ", \"shards\": " << p.shards
+             << ", \"collectiveWork\": " << p.collectiveWork
+             << ", \"completeSorts\": " << p.completeSorts
+             << ", \"verdictsMatch\": "
+             << (p.verdictsMatch ? "true" : "false")
+             << ", \"taxBounded\": "
+             << (p.taxBounded ? "true" : "false") << "}"
+             << (i + 1 < shard_points.size() ? "," : "") << "\n";
+    }
+    json << "    ]\n  },\n";
     json << "  \"sweep\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SweepPoint &p = points[i];
         json << "    {\"threads\": " << p.threads
-             << ", \"shardSize\": " << p.shardSize
              << ", \"ms\": " << jsonEscapeless(p.ms)
              << ", \"speedup\": " << jsonEscapeless(p.speedup)
              << ", \"collectiveWork\": " << p.collectiveWork
@@ -944,5 +1077,5 @@ main(int argc, char **argv)
         smoke ? "BENCH_scaling.smoke.json" : "BENCH_scaling.json";
     writeFile(out, json.str());
     std::cout << "\n(json written to " << out << ")\n";
-    return all_deterministic ? 0 : 1;
+    return all_deterministic && shard_ok ? 0 : 1;
 }

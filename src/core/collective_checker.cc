@@ -4,7 +4,6 @@
 
 #include "graph/po_edges.h"
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace mtc
 {
@@ -318,76 +317,10 @@ CollectiveChecker::finishCheck(const std::vector<Edge> &added,
 std::vector<bool>
 CollectiveChecker::check(const std::vector<DynamicEdgeSet> &ordered)
 {
-    return check(ordered.data(), ordered.size());
-}
-
-std::vector<bool>
-CollectiveChecker::check(const DynamicEdgeSet *ordered,
-                         std::size_t count)
-{
-    std::vector<bool> verdicts;
-    verdicts.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        verdicts.push_back(checkNext(ordered[i]));
-    return verdicts;
-}
-
-void
-CollectiveChecker::reset()
-{
-    for (auto &succ : dynAdj)
-        succ.clear();
-    currentEdges.clear();
-    orderValid = false;
-    stat = CollectiveStats{};
-}
-
-std::vector<bool>
-checkCollectiveSharded(const TestProgram &program, MemoryModel model,
-                       const std::vector<DynamicEdgeSet> &ordered,
-                       std::size_t shard_size, ThreadPool *pool,
-                       CollectiveStats &stats)
-{
-    if (shard_size == 0 || shard_size >= ordered.size()) {
-        CollectiveChecker checker(program, model);
-        std::vector<bool> verdicts = checker.check(ordered);
-        stats.merge(checker.stats());
-        return verdicts;
-    }
-
-    const std::size_t shards =
-        (ordered.size() + shard_size - 1) / shard_size;
-    std::vector<std::vector<bool>> shard_verdicts(shards);
-    std::vector<CollectiveStats> shard_stats(shards);
-
-    // Each shard is an independent checker over a contiguous slice of
-    // the (already ascending) signature sequence; any worker may pick
-    // up any shard because results land in per-shard slots that are
-    // merged in shard order below.
-    const auto run_shard = [&](std::size_t s) {
-        const std::size_t begin = s * shard_size;
-        const std::size_t end =
-            std::min(begin + shard_size, ordered.size());
-        CollectiveChecker checker(program, model);
-        shard_verdicts[s] =
-            checker.check(ordered.data() + begin, end - begin);
-        shard_stats[s] = checker.stats();
-    };
-
-    if (pool && pool->size() > 1) {
-        pool->parallelFor(shards, run_shard);
-    } else {
-        for (std::size_t s = 0; s < shards; ++s)
-            run_shard(s);
-    }
-
     std::vector<bool> verdicts;
     verdicts.reserve(ordered.size());
-    for (std::size_t s = 0; s < shards; ++s) {
-        verdicts.insert(verdicts.end(), shard_verdicts[s].begin(),
-                        shard_verdicts[s].end());
-        stats.merge(shard_stats[s]);
-    }
+    for (const DynamicEdgeSet &edges : ordered)
+        verdicts.push_back(checkNext(edges));
     return verdicts;
 }
 

@@ -45,8 +45,7 @@ struct CollectiveStats
     std::uint64_t violations = 0;
 
     /** Graphs checked with a complete sort (the first one, plus
-     * recovery sorts after violating graphs, plus one per shard when
-     * the batch is sharded — the paper's parallelization tax). */
+     * recovery sorts after violating graphs). */
     std::uint64_t completeSorts = 0;
 
     /** Graphs whose added edges were all forward: no re-sorting. */
@@ -63,8 +62,8 @@ struct CollectiveStats
     std::uint64_t edgesProcessed = 0;
 
     /** Fold another batch's accounting into this one. Counters add and
-     * the affected-fraction accumulator merges, so sharded checking
-     * reports exactly the work its shards performed. */
+     * the affected-fraction accumulator merges, so a sum over batches
+     * reports exactly the work each batch performed. */
     void merge(const CollectiveStats &other);
 };
 
@@ -92,27 +91,13 @@ class CollectiveChecker
      * the corresponding full list — the diff is applied in the same
      * merged key order, so even the successor-list layout (which
      * biases Kahn tie-breaking) matches. Do not mix with checkNext()
-     * on one checker without reset(): this variant does not maintain
-     * the full-list mirror checkNext() diffs against.
+     * on one checker: this variant does not maintain the full-list
+     * mirror checkNext() diffs against.
      */
     bool checkNextDiff(const EdgeDiff &diff);
 
     /** Check a whole ordered batch; verdict per edge set. */
     std::vector<bool> check(const std::vector<DynamicEdgeSet> &ordered);
-
-    /** As above over a borrowed contiguous range (sharded checking
-     * slices one batch without copying edge sets). */
-    std::vector<bool> check(const DynamicEdgeSet *ordered,
-                            std::size_t count);
-
-    /**
-     * Forget all dynamic edges, the maintained order, and the
-     * accounting, keeping buffer capacities — the streaming shard
-     * boundary: merge stats() into the campaign totals first, then
-     * reset and feed the boundary signature's full edge set as an
-     * added-only diff.
-     */
-    void reset();
 
     const CollectiveStats &stats() const { return stat; }
 
@@ -172,27 +157,6 @@ class CollectiveChecker
 
     CollectiveStats stat;
 };
-
-class ThreadPool;
-
-/**
- * Check an ordered batch with the unique-signature sequence cut into
- * contiguous shards of @p shard_size edge sets, one CollectiveChecker
- * per shard, run concurrently on @p pool (serially when @p pool is
- * null). Each shard starts without a maintained order and therefore
- * pays one extra complete sort — exactly the tradeoff the paper's
- * parallelization note predicts — but shards share no state, so the
- * verdicts are identical to an unsharded check and the merged stats
- * are identical for a given shard size at any worker count.
- *
- * @p shard_size 0 (or >= the batch) degenerates to one unsharded
- * checker. Verdicts are returned in batch order; @p stats receives the
- * merged accounting of all shards.
- */
-std::vector<bool> checkCollectiveSharded(
-    const TestProgram &program, MemoryModel model,
-    const std::vector<DynamicEdgeSet> &ordered, std::size_t shard_size,
-    ThreadPool *pool, CollectiveStats &stats);
 
 } // namespace mtc
 

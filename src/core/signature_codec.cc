@@ -3,10 +3,47 @@
 #include <cstring>
 #include <sstream>
 
-#include "support/simd.h"
-
 namespace mtc
 {
+
+namespace
+{
+
+/**
+ * Index of the first element of [data, data+n) equal to @p value, or
+ * @p n when absent — the branch-chain candidate scan of encodeInto,
+ * where "first" matters because the comparison count it implies feeds
+ * the Figure-10 perturbation model.
+ */
+std::uint32_t
+firstIndexOfU32(const std::uint32_t *data, std::uint32_t n,
+                std::uint32_t value)
+{
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (data[i] == value)
+            return i;
+    }
+    return n;
+}
+
+/**
+ * Index of the first element where [a, a+n) and [b, b+n) differ, or
+ * @p n when the ranges are equal — the delta-decode prefix probe: two
+ * adjacent sorted signatures share a thread's word slice exactly when
+ * this returns @p n for that slice.
+ */
+std::uint32_t
+firstDiffU64(const std::uint64_t *a, const std::uint64_t *b,
+             std::uint32_t n)
+{
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (a[i] != b[i])
+            return i;
+    }
+    return n;
+}
+
+} // anonymous namespace
 
 const char *
 decodeFaultKindName(DecodeFaultKind kind)

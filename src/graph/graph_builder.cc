@@ -433,26 +433,4 @@ EdgeDeriver::derive(const Execution &execution, const WsOrder &ws,
     sortByFrom(rawAdded, out.added);
 }
 
-void
-EdgeDeriver::snapshotAdded(EdgeDiff &out) const
-{
-    out.removed.clear();
-    out.added.clear();
-    assembleInto(out.added);
-}
-
-void
-EdgeDeriver::assembleInto(std::vector<Edge> &out) const
-{
-    // Every unit as a diff from the empty unit, which removes nothing.
-    out.clear();
-    for (std::uint32_t ordinal = 0; ordinal < loadWriter.size(); ++ordinal) {
-        diffLoad(ordinal, WsOrder::kNoWriter, nullptr, loadWriter[ordinal],
-                 rows.data() + locRowBegin[loadLoc[ordinal]], out, out);
-    }
-    for (std::uint32_t loc = 0; loc < locWords.size(); ++loc)
-        diffLoc(loc, nullptr, rows.data() + locRowBegin[loc], out, out);
-    std::sort(out.begin(), out.end());
-}
-
 } // namespace mtc

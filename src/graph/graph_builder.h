@@ -147,17 +147,6 @@ class EdgeDeriver
                 const std::uint32_t *changed_tids, std::size_t n,
                 EdgeDiff &out);
 
-    /**
-     * The current full edge set as an added-only diff (removed empty,
-     * added sorted) — what a freshly reset checker consumes at a
-     * shard boundary. coherenceViolation is left to the caller.
-     */
-    void snapshotAdded(EdgeDiff &out) const;
-
-    /** Materialize the current full sorted edge list (tests and the
-     * violation-witness path). */
-    void assembleInto(std::vector<Edge> &out) const;
-
     // --- Work counters (cumulative since construction) -----------------
 
     /** Load units (rf + fr) re-derived. */

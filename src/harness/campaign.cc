@@ -93,9 +93,7 @@ CampaignConfig::fromEnv(CampaignConfig defaults)
             parseEnvCount("MTC_TESTS", tests, false));
     if (const char *seed = std::getenv("MTC_SEED"))
         defaults.seed = parseEnvCount("MTC_SEED", seed, true);
-    // Zero is meaningful for both parallelism knobs: MTC_THREADS=0
-    // asks for every hardware thread, MTC_SHARD_SIZE=0 disables
-    // sharding.
+    // Zero is meaningful: MTC_THREADS=0 asks for every hardware thread.
     if (const char *threads = std::getenv("MTC_THREADS"))
         defaults.threads = static_cast<unsigned>(
             parseEnvCount("MTC_THREADS", threads, true));
@@ -104,9 +102,6 @@ CampaignConfig::fromEnv(CampaignConfig defaults)
     if (const char *batch = std::getenv("MTC_BATCH"))
         defaults.batch = static_cast<std::uint32_t>(
             parseEnvCount("MTC_BATCH", batch, true));
-    if (const char *shard = std::getenv("MTC_SHARD_SIZE"))
-        defaults.shardSize = static_cast<std::size_t>(
-            parseEnvCount("MTC_SHARD_SIZE", shard, true));
     // MTC_JOURNAL is a path, not a count, but gets the same strictness:
     // an empty value is a misconfiguration (probably MTC_JOURNAL= left
     // over from a shell edit), not a request for no journal.
@@ -278,13 +273,11 @@ flowTemplate(const TestConfig &cfg, const CampaignConfig &campaign)
     flow_cfg.runConventional = campaign.runConventional;
     flow_cfg.fault = campaign.fault;
     flow_cfg.recovery = campaign.recovery;
-    flow_cfg.shardSize = campaign.shardSize;
     // The campaign parallelizes at test granularity; each flow stays
     // serial inside so campaign.threads workers mean campaign.threads
     // busy cores, not threads^2 oversubscription.
     flow_cfg.threads = 1;
     flow_cfg.batch = campaign.batch;
-    flow_cfg.streamCheck = campaign.streamCheck;
     flow_cfg.profile = campaign.profile;
     // Trace dumps need every unit's sorted unique signature stream
     // kept in the FlowResult; the stream is derived state (not a
@@ -1075,7 +1068,10 @@ campaignIdentity(const std::vector<TestConfig> &configs,
     w.u64(campaign.recovery.confirmationIterations);
     w.u32(campaign.recovery.crashRetries);
     w.u32(campaign.testRetries);
-    w.u64(campaign.shardSize);
+    // Retired slot: the collective checker's shard size. It keeps
+    // its old default, 0, so journals and traces written by unsharded
+    // campaigns before sharding was removed keep their identity.
+    w.u64(0);
     w.u64(campaign.stallAfterSteps);
     // The drills change the deterministic result stream; the
     // execution mode and sandbox budgets do not (a journal written in

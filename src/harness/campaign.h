@@ -118,16 +118,6 @@ struct CampaignConfig
      */
     std::uint32_t batch = 0;
 
-    /** Collective-checker shard size forwarded to every test's flow
-     * (see FlowConfig::shardSize). 0 = unsharded. */
-    std::size_t shardSize = 0;
-
-    /** Streaming decode→check pipeline forwarded to every test's flow
-     * (see FlowConfig::streamCheck). false runs the barrier baseline.
-     * Operational knob — bit-identical summaries either way, so it is
-     * excluded from the campaign identity like `threads`/`batch`. */
-    bool streamCheck = true;
-
     /** Collect every unit's per-phase wall-clock breakdown (see
      * FlowConfig::profile); ConfigSummary::profile sums it.
      * Operational knob. */
@@ -304,12 +294,11 @@ struct CampaignConfig
 
     /**
      * Apply MTC_ITERATIONS / MTC_TESTS / MTC_SEED / MTC_THREADS /
-     * MTC_BATCH / MTC_SHARD_SIZE / MTC_JOURNAL / MTC_TEST_TIMEOUT_MS /
-     * MTC_SANDBOX / MTC_SANDBOX_MEM_MB / MTC_SANDBOX_CPU_S overrides
-     * (MTC_THREADS=0 means "use every hardware thread"; MTC_BATCH=0
-     * means "flow default"; MTC_SHARD_SIZE=0 means unsharded;
-     * MTC_TEST_TIMEOUT_MS=0 means no watchdog; MTC_SANDBOX=0/1
-     * selects in-process/sandboxed).
+     * MTC_BATCH / MTC_JOURNAL / MTC_TEST_TIMEOUT_MS / MTC_SANDBOX /
+     * MTC_SANDBOX_MEM_MB / MTC_SANDBOX_CPU_S overrides (MTC_THREADS=0
+     * means "use every hardware thread"; MTC_BATCH=0 means "flow
+     * default"; MTC_TEST_TIMEOUT_MS=0 means no watchdog;
+     * MTC_SANDBOX=0/1 selects in-process/sandboxed).
      *
      * Fabric overrides: MTC_FABRIC_KEY_FILE (key path; the key itself
      * never transits argv or the environment), MTC_AUDIT_RATE (a
@@ -385,8 +374,7 @@ struct ConfigSummary
 
     /** Raw collective-checker classification totals (the fractions
      * above are these normalized by graphs checked); the scaling
-     * bench reads the complete-sort count to measure the per-shard
-     * extra-sort tax directly. */
+     * bench's shard sweep checks its unsharded point against them. */
     std::uint64_t collectiveGraphs = 0;
     std::uint64_t collectiveCompleteSorts = 0;
 

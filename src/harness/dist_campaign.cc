@@ -82,7 +82,7 @@ encodeCampaignSpec(const CampaignSpec &spec)
     w.u64(c.recovery.confirmationIterations);
     w.u32(c.recovery.crashRetries);
     w.u32(c.testRetries);
-    w.u64(c.shardSize);
+    w.u64(0); // retired shard-size slot (see decodeCampaignSpec)
     w.u64(c.stallAfterSteps);
     w.u8(c.stallUncooperative ? 1 : 0);
     w.u64(c.testTimeoutMs);
@@ -143,7 +143,15 @@ decodeCampaignSpec(const std::vector<std::uint8_t> &bytes)
         c.recovery.confirmationIterations = r.u64();
         c.recovery.crashRetries = r.u32();
         c.testRetries = r.u32();
-        c.shardSize = static_cast<std::size_t>(r.u64());
+        // The retired shard-size slot. A v3 spec from a sharded
+        // campaign asked for checker stats this build cannot produce,
+        // so it is refused rather than silently run unsharded.
+        if (const std::uint64_t shard = r.u64(); shard != 0) {
+            throw DistError("campaign spec: retired shard-size slot "
+                            "holds " + std::to_string(shard) +
+                            "; collective-checker sharding was "
+                            "removed, only 0 is accepted");
+        }
         c.stallAfterSteps = r.u64();
         c.stallUncooperative = r.u8() != 0;
         c.testTimeoutMs = r.u64();

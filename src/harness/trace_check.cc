@@ -306,7 +306,6 @@ checkTrace(const TraceCheckOptions &options)
         // producer's: results are bit-identical at any setting. Units
         // are the parallel grain, so each flow stays serial inside.
         states[c].flow.threads = 1;
-        states[c].flow.streamCheck = options.streamCheck;
         states[c].flow.keepSignatures = false;
         states[c].flow.keepExecutions = false;
         states[c].flow.cancel = nullptr;

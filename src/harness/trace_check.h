@@ -60,10 +60,6 @@ struct TraceCheckOptions
      * thread); reports and checkpoint bytes are identical at any
      * value. */
     unsigned threads = 1;
-
-    /** Streaming pipeline (FlowConfig::streamCheck; results
-     * bit-identical either way). */
-    bool streamCheck = true;
 };
 
 /** One classified ingestion fault observed during a degraded check. */

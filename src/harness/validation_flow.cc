@@ -20,7 +20,6 @@
 #include "support/journal.h"
 #include "support/log.h"
 #include "support/thread_pool.h"
-#include "support/timer.h"
 
 namespace mtc
 {
@@ -44,8 +43,7 @@ bstInsertComparisons(std::uint64_t unique_before)
 }
 
 /**
- * Streaming decode→derive→check over the sorted unique signatures —
- * the shipping post-execution pipeline (streamCheck = true).
+ * Streaming decode→derive→check over the sorted unique signatures.
  *
  * The producer (calling thread) delta-decodes each signature against
  * the previous one (StreamDecoder), incrementally re-infers the ws
@@ -55,17 +53,15 @@ bstInsertComparisons(std::uint64_t unique_before)
  * list. The consumer applies each diff to one stateful
  * CollectiveChecker. With a worker pool the consumer runs on a pool
  * worker behind a bounded channel (O(window) diffs in flight);
- * without one the check happens inline. Sharding semantics replicate
- * checkCollectiveSharded() exactly: at each shard boundary the
- * finished shard's stats are merged in shard order, the checker is
- * reset, and the boundary signature enters as an added-only full
- * snapshot — so verdicts and stats are bit-identical to the barrier
- * pipeline at every shard size, window, and thread count.
+ * without one the check happens inline. The consumer applies the
+ * diffs in stream order either way, so verdicts and stats are
+ * bit-identical at every window and thread count.
  *
  * Quarantine entries are appended in ascending signature order (the
  * producer walks the sorted sequence), and a decode fault leaves the
  * stream decoder in a defined state, so the quarantine list, kept
- * executions, and decoded sequence all match the barrier path.
+ * executions, and decoded sequence are those of a from-scratch decode
+ * of every signature.
  */
 void
 streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
@@ -88,7 +84,6 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
     WsOrder ws;
     EdgeDeriver deriver(program);
     EdgeDiff diff;
-    EdgeDiff snap; // shard-boundary full snapshot
 
     CollectiveChecker checker(program, model);
 
@@ -106,19 +101,10 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
     std::uint64_t decode_ns = 0;
     std::uint64_t check_ns = 0;
     std::uint64_t conv_ns = 0;
-    const std::size_t shard = cfg.shardSize;
 
     const auto check_item = [&](const EdgeDiff &d,
-                                std::size_t decoded_idx,
-                                bool start_shard) {
+                                std::size_t decoded_idx) {
         const auto t0 = Clock::now();
-        if (start_shard) {
-            // Shard boundary: exactly checkCollectiveSharded()'s
-            // fresh-checker-per-shard — merge the finished shard's
-            // stats in shard order, restart from an empty graph.
-            result.collective.merge(checker.stats());
-            checker.reset();
-        }
         collective_verdicts[decoded_idx] = checker.checkNextDiff(d);
         check_ns += ns_since(t0);
     };
@@ -127,7 +113,6 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
     {
         EdgeDiff diff;
         std::size_t decodedIdx = 0;
-        bool startShard = false;
     };
     const bool overlapped = pool != nullptr && pool->size() > 1;
     std::optional<BoundedChannel<StreamItem>> channel;
@@ -143,8 +128,7 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
             try {
                 StreamItem item;
                 while (channel->pop(item))
-                    check_item(item.diff, item.decodedIdx,
-                               item.startShard);
+                    check_item(item.diff, item.decodedIdx);
                 done->set_value();
             } catch (...) {
                 done->set_exception(std::current_exception());
@@ -176,15 +160,6 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
         decoded_unique_idx.push_back(i);
         if (cfg.keepExecutions)
             result.executions.push_back(*exec);
-
-        const bool start_shard =
-            shard > 0 && decoded_idx > 0 && decoded_idx % shard == 0;
-        EdgeDiff *to_check = &diff;
-        if (start_shard) {
-            deriver.snapshotAdded(snap);
-            snap.coherenceViolation = diff.coherenceViolation;
-            to_check = &snap;
-        }
         decode_ns += ns_since(t0);
 
         if (conventional) {
@@ -201,13 +176,12 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
         }
 
         if (!overlapped) {
-            check_item(*to_check, decoded_idx, start_shard);
+            check_item(diff, decoded_idx);
         } else {
             StreamItem item;
-            item.diff = std::move(*to_check);
-            to_check->clear();
+            item.diff = std::move(diff);
+            diff.clear();
             item.decodedIdx = decoded_idx;
-            item.startShard = start_shard;
             if (!channel->push(std::move(item)))
                 break; // consumer died; rethrown below
         }
@@ -217,8 +191,7 @@ streamDecodeAndCheck(const TestProgram &program, MemoryModel model,
         channel->close();
         consumer_done.get(); // joins the consumer; rethrows its error
     }
-    // Final (or only) shard's accounting.
-    result.collective.merge(checker.stats());
+    result.collective = checker.stats();
 
     collective_verdicts.resize(decoded_unique_idx.size());
     result.sliceReuses = stream.slicesReused();
@@ -250,8 +223,8 @@ checkSignatureStream(const TestProgram &program,
                      std::vector<bool> &collective_verdicts,
                      std::vector<std::size_t> &decoded_unique_idx)
 {
-    // Worker pool for the in-test parallel stages (decode fan-out and
-    // sharded checking). threads == 1 keeps everything on this thread.
+    // The overlapped decode→check channel's consumer runs on this
+    // pool; threads == 1 keeps everything on this thread.
     const unsigned flow_workers = ThreadPool::resolveThreads(cfg.threads);
     std::unique_ptr<ThreadPool> pool;
     if (flow_workers > 1)
@@ -262,115 +235,10 @@ checkSignatureStream(const TestProgram &program,
     // on suspect silicon — are quarantined with their classification
     // instead of aborting the flow (post-silicon rule: never let the
     // harness confuse "readout glitched" with "the DUT is buggy").
-    std::vector<DynamicEdgeSet> edge_sets; // barrier pipeline only
     decoded_unique_idx.reserve(unique.size());
-
-    if (cfg.streamCheck) {
-        // Streaming pipeline: delta decode against the previous sorted
-        // signature, incremental edge derivation, and (with a pool)
-        // decode→check overlap behind a bounded window. Bit-identical
-        // to the barrier pipeline below — see streamDecodeAndCheck.
-        streamDecodeAndCheck(program, model, codec, cfg, unique,
-                             pool.get(), prof, result,
-                             collective_verdicts, decoded_unique_idx);
-    } else {
-        // Barrier pipeline (A/B baseline and equivalence oracle):
-        // decode everything, then check everything, one full edge set
-        // per unique signature held live at once.
-        //
-        // Each unique signature decodes independently, so the loop fans
-        // out across the pool into per-index slots; the slots are
-        // folded back in index (= ascending signature) order, which
-        // makes the decoded sequence, the quarantine list, and the kept
-        // executions bit-identical at any worker count.
-        struct DecodeSlot
-        {
-            bool quarantined = false;
-            DynamicEdgeSet edges;
-            Execution execution; ///< populated only when keepExecutions
-            QuarantinedSignature quarantine;
-        };
-        std::vector<DecodeSlot> decode_slots(unique.size());
-        edge_sets.reserve(unique.size());
-        {
-            auto phase_scope = prof.scope(Phase::Decode);
-            WallTimer timer;
-            ScopedTimer scope(timer);
-            const auto decode_one = [&](std::size_t i) {
-                DecodeSlot &slot = decode_slots[i];
-                // Per-worker decode buffers: only the per-slot edge set
-                // (the product that outlives this loop) is allocated
-                // per signature; the Execution and word scratch are
-                // reused, as is dynamicEdges' inference workspace.
-                thread_local Execution decoded;
-                thread_local std::vector<std::uint64_t> word_scratch;
-                try {
-                    codec.decodeInto(unique[i].signature, decoded,
-                                     word_scratch);
-                    slot.edges = dynamicEdges(program, decoded);
-                    if (cfg.keepExecutions)
-                        slot.execution = decoded;
-                } catch (const SignatureDecodeError &err) {
-                    slot.quarantined = true;
-                    slot.quarantine = {unique[i].signature,
-                                       unique[i].iterations, err.kind(),
-                                       err.thread(), err.word(),
-                                       err.what()};
-                }
-            };
-            if (pool) {
-                pool->parallelFor(unique.size(), decode_one);
-            } else {
-                for (std::size_t i = 0; i < unique.size(); ++i)
-                    decode_one(i);
-            }
-
-            for (std::size_t i = 0; i < unique.size(); ++i) {
-                DecodeSlot &slot = decode_slots[i];
-                if (slot.quarantined) {
-                    result.fault.quarantined.push_back(
-                        std::move(slot.quarantine));
-                    result.fault.quarantinedIterations +=
-                        unique[i].iterations;
-                    continue;
-                }
-                edge_sets.push_back(std::move(slot.edges));
-                decoded_unique_idx.push_back(i);
-                if (cfg.keepExecutions)
-                    result.executions.push_back(
-                        std::move(slot.execution));
-            }
-            result.decodeMs = timer.milliseconds();
-        }
-        decode_slots.clear();
-
-        // Collective checking (MTraceCheck), then the conventional
-        // baseline over the same materialized edge sets.
-        auto check_scope = prof.scope(Phase::Check);
-        {
-            WallTimer timer;
-            ScopedTimer scope(timer);
-            collective_verdicts = checkCollectiveSharded(
-                program, model, edge_sets, cfg.shardSize, pool.get(),
-                result.collective);
-            result.collectiveMs = timer.milliseconds();
-        }
-        if (cfg.runConventional) {
-            ConventionalChecker checker(program, model);
-            WallTimer timer;
-            ScopedTimer scope(timer);
-            const std::vector<bool> verdicts =
-                checker.check(edge_sets, result.conventional);
-            result.conventionalMs = timer.milliseconds();
-
-            // The two checkers must agree; this is also asserted by
-            // the property tests, but a production run cross-checks.
-            if (verdicts != collective_verdicts) {
-                warn("checker disagreement on test " +
-                     program.config().name());
-            }
-        }
-    }
+    streamDecodeAndCheck(program, model, codec, cfg, unique, pool.get(),
+                         prof, result, collective_verdicts,
+                         decoded_unique_idx);
     result.fault.decodedSignatures = decoded_unique_idx.size();
     for (bool verdict : collective_verdicts)
         result.violatingSignatures += verdict ? 1 : 0;
@@ -384,20 +252,12 @@ checkSignatureStream(const TestProgram &program,
             // The streaming pipeline holds no full edge sets, so the
             // single witnessed execution is re-derived post hoc (one
             // cold decode — negligible against the checking sweep).
-            DynamicEdgeSet witness_edges;
-            const DynamicEdgeSet *edges_ptr = nullptr;
-            if (!edge_sets.empty()) {
-                edges_ptr = &edge_sets[i];
-            } else {
-                witness_edges = dynamicEdges(
-                    program,
-                    codec.decode(unique[decoded_unique_idx[i]]
-                                     .signature));
-                edges_ptr = &witness_edges;
-            }
+            const DynamicEdgeSet witness_edges = dynamicEdges(
+                program,
+                codec.decode(unique[decoded_unique_idx[i]].signature));
             ConstraintGraph graph(program.numOps());
             graph.addEdges(programOrderEdges(program, model));
-            graph.addEdges(edges_ptr->edges);
+            graph.addEdges(witness_edges.edges);
             const auto cycle = findCycle(graph);
             if (!cycle.empty()) {
                 result.violationWitness =
@@ -472,11 +332,9 @@ ValidationFlow::runTest(const TestProgram &program)
 
     // One batch arena plus one encode/readout buffer set serve the
     // whole loop: after the first batch warms their capacities, an
-    // iteration performs no heap allocations (the tentpole property,
-    // asserted by tests/hotpath_test.cpp). reuseArena=false rebuilds
-    // the arena per batch — the pre-arena behavior, bit-identical but
-    // allocation-heavy — for A/B measurement. The scalar `arena`
-    // serves the confirmation re-executions further down.
+    // iteration performs no heap allocations (asserted by
+    // tests/hotpath_test.cpp). The scalar `arena` serves the
+    // confirmation re-executions further down.
     RunArena arena;
     BatchRunArena batch_arena;
     EncodeResult encoded;
@@ -504,8 +362,6 @@ ValidationFlow::runTest(const TestProgram &program)
             std::min<std::uint64_t>(batch_width,
                                     cfg.iterations - base));
         base += lanes;
-        if (!cfg.reuseArena)
-            batch_arena = BatchRunArena();
         {
             auto scope = prof.scope(Phase::BatchDispatch);
             lane_rngs.clear();
@@ -688,8 +544,6 @@ ValidationFlow::runTest(const TestProgram &program)
             bool crashed = false;
             for (std::uint64_t iter = 0;
                  iter < confirm_iters && !confirmed; ++iter) {
-                if (!cfg.reuseArena)
-                    arena = RunArena();
                 try {
                     platform.runInto(program, confirm_rng, arena,
                                      cfg.cancel);

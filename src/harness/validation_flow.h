@@ -196,58 +196,27 @@ struct FlowConfig
     std::uint32_t batch = 0;
 
     /**
-     * Stream the post-execution path: delta-decode the sorted unique
-     * signatures (StreamDecoder), derive observed edges incrementally
-     * (EdgeDeriver), and feed the collective checker per-signature
-     * edge diffs — overlapped with decoding on the flow pool when
-     * threads > 1. false runs the retired barrier pipeline
-     * (decode-all, then check-all, full edge sets materialized), kept
-     * for A/B benches and equivalence tests. Results are bit-identical
-     * either way; operational knob only, excluded from campaign
-     * identity like `threads`.
-     */
-    bool streamCheck = true;
-
-    /**
      * Bounded decode→check window of the overlapped pipeline: how many
      * edge diffs may be in flight between the decoding producer and
-     * the checking consumer (0 = unbounded). Only meaningful when
-     * streamCheck is on and the flow runs with threads > 1; results
-     * are bit-identical at any window.
+     * the checking consumer (0 = unbounded). Only meaningful when the
+     * flow runs with threads > 1; results are bit-identical at any
+     * window.
      */
     std::size_t streamWindow = 64;
 
     /**
-     * Worker threads for the in-test parallel stages — the
-     * decode/observed-edge loop over unique signatures and the sharded
-     * collective checker. 1 (default) runs fully serial; 0 resolves to
-     * the hardware concurrency. Results are bit-identical at any
-     * value: every parallel stage writes to per-index slots that are
-     * merged in deterministic order.
+     * Threads of the checking stage. Above 1, the delta-decoding
+     * producer and the collective-checking consumer run concurrently,
+     * connected by a bounded channel of streamWindow edge diffs; 1
+     * (default) checks inline; 0 resolves to the hardware concurrency.
+     * The consumer applies the diffs strictly in stream order, so
+     * results are bit-identical at any value.
      */
     unsigned threads = 1;
-
-    /**
-     * Shard size of the collective checker: the sorted unique
-     * signatures are cut into contiguous shards of this many edge
-     * sets, each checked independently (one extra complete sort per
-     * shard). 0 (default) checks unsharded. Verdicts are identical
-     * either way; checker work stats differ by the per-shard sort tax.
-     */
-    std::size_t shardSize = 0;
 
     /** Collect the per-phase wall-clock breakdown (FlowResult::profile).
      * Off by default: disabled scopes never touch the clock. */
     bool profile = false;
-
-    /**
-     * Reuse one RunArena (and one encode/readout buffer set) across
-     * the whole test loop — the zero-allocation hot path. false
-     * reconstructs the arena every iteration (the pre-arena behavior),
-     * kept as a comparison baseline for benches and tests; results are
-     * bit-identical either way.
-     */
-    bool reuseArena = true;
 
     /**
      * Watchdog stop token threaded into every platform run of this
@@ -301,10 +270,9 @@ struct FlowResult
     /** Wall-clock of decode + observed-edge derivation (shared). */
     double decodeMs = 0.0;
 
-    /** Delta-decode accounting of the streaming pipeline: per-thread
+    /** Delta-decode accounting of the checking stage: per-thread
      * signature-word slices reused verbatim from the previous sorted
-     * signature vs. peeled in full. Both zero when the barrier
-     * pipeline (streamCheck = false) ran. */
+     * signature vs. peeled in full. */
     std::uint64_t sliceReuses = 0;
     std::uint64_t sliceDecodes = 0;
 
@@ -353,8 +321,8 @@ struct FlowResult
  * bit-identical whether the signatures arrived from a live platform or
  * from a trace file.
  *
- * Honored @p cfg knobs: threads, streamCheck, streamWindow, shardSize,
- * runConventional, keepExecutions. @p verdicts_out receives one
+ * Honored @p cfg knobs: threads, streamWindow, runConventional,
+ * keepExecutions. @p verdicts_out receives one
  * cyclic/acyclic verdict per decoded signature and @p decoded_idx_out
  * the indices into @p unique that decoded cleanly (both in stream
  * order); pass empty vectors.

@@ -4,11 +4,11 @@
  *
  * Post-silicon campaigns are embarrassingly parallel across tests (the
  * paper runs one test thread per core), the offline checker verifies
- * their recorded units the same way, and inside one test both the
- * decode/observed-edge loop and the sharded collective checker fan out
- * over independent slices. All of that parallelism flows through this
- * one pool type so the engine has a single, TSan-clean place where
- * threads are created, fed, and joined.
+ * their recorded units the same way, and inside one test the
+ * overlapped decode→check channel runs its checking consumer on a pool
+ * worker. All of that parallelism flows through this one pool type so
+ * the engine has a single, TSan-clean place where threads are created,
+ * fed, and joined.
  *
  * Design constraints (and why):
  *  - fixed worker count, resolved once: campaign results must be

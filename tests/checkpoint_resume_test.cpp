@@ -459,6 +459,33 @@ TEST(CampaignJournalFile, RejectsForeignIdentityOnResume)
                  ConfigError);
 }
 
+TEST(CampaignJournalFile, CampaignIdentityDigestIsPinned)
+{
+    // Journals and traces on disk carry this digest, so it may never
+    // move: the literal is what the identity computed while the spec
+    // still had a shard-size knob, at its default 0. The retired slot
+    // must keep hashing as that 0, or every earlier journal stops
+    // resuming and every earlier trace stops checking.
+    CampaignConfig campaign;
+    campaign.iterations = 512;
+    campaign.testsPerConfig = 3;
+    campaign.seed = 20170624;
+    campaign.variant = PlatformVariant::Mesi;
+    campaign.bug = BugKind::LsqNoSquash;
+    campaign.bugProbability = 0.25;
+    campaign.cacheLines = 4;
+    campaign.fault.bitFlipRate = 0.01;
+    campaign.recovery.crashRetries = 2;
+    campaign.testRetries = 2;
+    const CampaignJournal::Identity identity = campaignIdentity(
+        {parseConfigName("x86-4-50-64"), parseConfigName("ARM-2-50-32")},
+        campaign);
+    EXPECT_EQ(identity.digest, 0x6ea7b624155af502ull);
+    EXPECT_EQ(identity.description,
+              "seed=20170624 iterations=512 tests=3 "
+              "configs=x86-4-50-64,ARM-2-50-32");
+}
+
 TEST(CampaignJournalFile, ForkedWorkerDoesNotInheritTheFlock)
 {
     // The flock lives on the open-file description, which forked

@@ -599,6 +599,28 @@ TEST(FabricProtocol, CampaignSpecRoundTripsAndRejectsGarbage)
     std::vector<std::uint8_t> bad_platform = bytes;
     bad_platform[4 + 4 + 8 + 4 + 8] = 0x7f;
     EXPECT_THROW(decodeCampaignSpec(bad_platform), DistError);
+
+    // The retired shard-size slot, after testRetries: magic, version,
+    // iterations, tests, seed, the four platform bytes, bug
+    // probability, cache lines, runConventional, five fault rates,
+    // fault seed, the three recovery knobs and testRetries. The
+    // encoder writes 0 there; a spec from a sharded campaign is
+    // refused with the slot named, not run unsharded.
+    constexpr std::size_t kShardSlot = 4 + 4 + 8 + 4 + 8 + 4 + 8 + 4 +
+        1 + 5 * 8 + 8 + 4 + 8 + 4 + 4;
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(bytes[kShardSlot + i], 0u) << "slot byte " << i;
+    std::vector<std::uint8_t> sharded = bytes;
+    sharded[kShardSlot] = 32;
+    try {
+        (void)decodeCampaignSpec(sharded);
+        ADD_FAILURE() << "a non-zero shard-size slot was accepted";
+    } catch (const DistError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("shard-size slot holds 32"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -3,9 +3,7 @@
  * Parallel validation engine tests: the engine's one hard promise is
  * that parallelism never changes results. Campaign summaries, flow
  * verdicts, and checker stats must be bit-identical at 1, 2, and 8
- * workers — with and without active fault injection — and the sharded
- * collective checker must return exactly the unsharded verdicts while
- * paying only the predicted extra complete sort per shard. Plus unit
+ * workers — with and without active fault injection. Plus unit
  * coverage for the ThreadPool itself (exception capture, bounded
  * queue, index coverage, in-order commits).
  */
@@ -18,10 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/collective_checker.h"
-#include "core/conventional_checker.h"
 #include "core/signature_accumulator.h"
-#include "graph/graph_builder.h"
 #include "harness/campaign.h"
 #include "harness/validation_flow.h"
 #include "sim/executor.h"
@@ -143,14 +138,11 @@ TEST(ParallelCampaign, RunConfigMatchesAcrossThreadCounts)
 TEST(ParallelCampaign, EnvOverridesParseParallelKnobs)
 {
     setenv("MTC_THREADS", "4", 1);
-    setenv("MTC_SHARD_SIZE", "64", 1);
     const CampaignConfig cfg = CampaignConfig::fromEnv();
     EXPECT_EQ(cfg.threads, 4u);
-    EXPECT_EQ(cfg.shardSize, 64u);
     unsetenv("MTC_THREADS");
-    unsetenv("MTC_SHARD_SIZE");
 
-    // Zero is meaningful (all hardware threads / unsharded).
+    // Zero is meaningful (all hardware threads).
     setenv("MTC_THREADS", "0", 1);
     EXPECT_EQ(CampaignConfig::fromEnv().threads, 0u);
     unsetenv("MTC_THREADS");
@@ -160,8 +152,8 @@ TEST(ParallelCampaign, EnvOverridesParseParallelKnobs)
     unsetenv("MTC_THREADS");
 }
 
-/** Flow-level determinism: the in-test stages (parallel decode and
- * sharded checking) must give one answer at any worker count. */
+/** Flow-level determinism: the overlapped decode→check channel must
+ * give one answer at any worker count. */
 TEST(ParallelFlow, RunTestVerdictsAndStatsIdenticalAcrossThreads)
 {
     const TestProgram program = generateTest(
@@ -171,7 +163,6 @@ TEST(ParallelFlow, RunTestVerdictsAndStatsIdenticalAcrossThreads)
     cfg.exec = bareMetalConfig(Isa::X86);
     cfg.exec.bug = BugKind::LsqNoSquash; // make violations appear
     cfg.exec.bugProbability = 0.5;
-    cfg.shardSize = 5;
 
     cfg.threads = 1;
     const FlowResult serial = ValidationFlow(cfg).runTest(program);
@@ -201,69 +192,6 @@ TEST(ParallelFlow, RunTestVerdictsAndStatsIdenticalAcrossThreads)
         EXPECT_EQ(parallel.violationWitness, serial.violationWitness);
         EXPECT_EQ(parallel.originalCycles, serial.originalCycles);
         EXPECT_EQ(parallel.sortCycles, serial.sortCycles);
-    }
-}
-
-/** Property test: for a spread of programs, sharded checking returns
- * exactly the unsharded verdicts (and the conventional checker's) at
- * every shard size, while paying at most one extra complete sort per
- * shard. */
-TEST(ShardedChecker, EquivalentToUnshardedAcrossSeeds)
-{
-    ThreadPool pool(2);
-    for (std::uint64_t seed = 0; seed < 5; ++seed) {
-        const TestConfig cfg = parseConfigName("x86-4-50-64");
-        const TestProgram program = generateTest(cfg, seed);
-
-        // Collect a real ordered unique-execution batch through the
-        // flow (keepExecutions returns them in ascending-signature
-        // order), including violating graphs from an injected bug.
-        FlowConfig flow_cfg;
-        flow_cfg.iterations = 128;
-        flow_cfg.exec = bareMetalConfig(cfg.isa);
-        flow_cfg.exec.bug = seed % 2 ? BugKind::LsqNoSquash
-                                     : BugKind::None;
-        flow_cfg.exec.bugProbability = 0.4;
-        flow_cfg.keepExecutions = true;
-        flow_cfg.runConventional = false;
-        flow_cfg.seed = seed * 7919 + 1;
-        const FlowResult flow_result =
-            ValidationFlow(flow_cfg).runTest(program);
-
-        std::vector<DynamicEdgeSet> ordered;
-        ordered.reserve(flow_result.executions.size());
-        for (const Execution &execution : flow_result.executions)
-            ordered.push_back(dynamicEdges(program, execution));
-        ASSERT_GT(ordered.size(), 2u);
-
-        const MemoryModel model = flow_cfg.exec.model;
-        CollectiveChecker unsharded(program, model);
-        const std::vector<bool> reference = unsharded.check(ordered);
-
-        ConventionalStats conv_stats;
-        const std::vector<bool> conventional =
-            ConventionalChecker(program, model)
-                .check(ordered, conv_stats);
-        EXPECT_EQ(reference, conventional);
-
-        for (std::size_t shard : {std::size_t(1), std::size_t(3),
-                                  std::size_t(16), std::size_t(1000)}) {
-            CollectiveStats stats;
-            const std::vector<bool> verdicts = checkCollectiveSharded(
-                program, model, ordered, shard, &pool, stats);
-            EXPECT_EQ(verdicts, reference)
-                << "shard size " << shard << " seed " << seed;
-            EXPECT_EQ(stats.graphsChecked, ordered.size());
-
-            // Shard tax bound: at most one extra complete sort per
-            // shard relative to the unsharded run.
-            const std::size_t shards = shard >= ordered.size()
-                ? 1
-                : (ordered.size() + shard - 1) / shard;
-            EXPECT_LE(stats.completeSorts,
-                      unsharded.stats().completeSorts + shards);
-            EXPECT_GE(stats.completeSorts, shards);
-        }
     }
 }
 

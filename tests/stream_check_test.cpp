@@ -3,8 +3,10 @@
  * Streaming checking pipeline equivalences: the sorted-stream delta
  * decode, the incremental edge derivation, and the diff-fed collective
  * checker must each be bit-identical to their from-scratch forms — and
- * the whole streamed flow must reproduce the barrier flow's summaries,
- * quarantine ordering, and digests at every window, thread count, and
+ * the shipped checking stage (checkSignatureStream), run over a flow's
+ * own sorted signature stream, must reproduce the barrier oracle's
+ * (barrier_reference.h) verdicts, checker stats, quarantine ordering,
+ * witness, and kept executions at every window, thread count, and
  * fault mix.
  */
 
@@ -15,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/collective_checker.h"
@@ -25,6 +28,7 @@
 #include "harness/validation_flow.h"
 #include "sim/executor.h"
 #include "testgen/generator.h"
+#include "barrier_reference.h"
 #include "ws_reference.h"
 
 namespace mtc
@@ -421,7 +425,45 @@ TEST(StreamingChecker, DiffFedCheckerMatchesFullListChecker)
     expectSameStats(diffed.stats(), full.stats());
 }
 
-// --- Streamed flow ≡ barrier flow -------------------------------------
+// --- Streaming stage ≡ barrier oracle ----------------------------------
+
+/**
+ * Run @p cfg's flow on @p program, keeping its sorted unique stream,
+ * then check that stream twice with @p cfg: through the shipped stage
+ * (checkSignatureStream) and through the barrier oracle. Both results
+ * carry the flow's execution-side fields, so the pair compares field
+ * for field. The flow's own result is not compared: its confirmation
+ * re-executions may rewrite the stage's verdicts after checking.
+ */
+std::pair<FlowResult, FlowResult>
+streamedAndBarrier(const TestProgram &program, FlowConfig cfg)
+{
+    cfg.keepSignatures = true;
+    const FlowResult flow = ValidationFlow(cfg).runTest(program);
+
+    const LoadValueAnalysis analysis(program, cfg.analysis);
+    const InstrumentationPlan plan(program, analysis);
+    const SignatureCodec codec(program, analysis, plan);
+    std::pair<FlowResult, FlowResult> results;
+    for (FlowResult *r : {&results.first, &results.second}) {
+        r->iterationsRun = flow.iterationsRun;
+        r->uniqueSignatures = flow.uniqueSignatures;
+        r->signatureSetDigest = flow.signatureSetDigest;
+    }
+    PhaseProfiler prof(false);
+    std::vector<bool> verdicts, barrier_verdicts;
+    std::vector<std::size_t> decoded, barrier_decoded;
+    checkSignatureStream(program, codec, cfg.exec.model, cfg,
+                         flow.signatureStream, prof, results.first,
+                         verdicts, decoded);
+    barrierCheckSignatureStream(program, codec, cfg.exec.model, cfg,
+                                flow.signatureStream, prof,
+                                results.second, barrier_verdicts,
+                                barrier_decoded);
+    EXPECT_EQ(verdicts, barrier_verdicts);
+    EXPECT_EQ(decoded, barrier_decoded);
+    return results;
+}
 
 FlowConfig
 faultedFlow(std::uint64_t iterations)
@@ -440,19 +482,14 @@ TEST(StreamingFlow, FaultedQuarantineIdenticalToBarrier)
     const TestProgram program =
         generateTest(parseConfigName("ARM-4-100-64"), 13);
 
-    FlowConfig streamed_cfg = faultedFlow(512);
-    streamed_cfg.streamCheck = true;
-    FlowConfig barrier_cfg = faultedFlow(512);
-    barrier_cfg.streamCheck = false;
-
-    const FlowResult streamed =
-        ValidationFlow(streamed_cfg).runTest(program);
-    const FlowResult barrier =
-        ValidationFlow(barrier_cfg).runTest(program);
+    const auto [streamed, barrier] =
+        streamedAndBarrier(program, faultedFlow(512));
 
     // A faulted readout must quarantine something for this test to
-    // mean anything.
+    // mean anything; the corruption that decodes also yields cyclic
+    // graphs, so the witness path runs too.
     ASSERT_GT(streamed.fault.quarantined.size(), 0u);
+    EXPECT_GT(streamed.violatingSignatures, 0u);
     expectSameFlowResult(streamed, barrier);
 
     // Streaming accounting only exists on the streaming side.
@@ -469,22 +506,15 @@ TEST(StreamingFlow, WindowsAndThreadsAreBitIdentical)
     base.iterations = 384;
     base.seed = 5;
     base.exec = bareMetalConfig(Isa::X86);
-    base.shardSize = 16; // exercise shard boundaries mid-stream
-
-    FlowConfig barrier_cfg = base;
-    barrier_cfg.streamCheck = false;
-    const FlowResult barrier =
-        ValidationFlow(barrier_cfg).runTest(program);
 
     for (std::size_t window : {std::size_t(1), std::size_t(7),
                                std::size_t(64), std::size_t(0)}) {
         for (unsigned threads : {1u, 2u}) {
             FlowConfig cfg = base;
-            cfg.streamCheck = true;
             cfg.streamWindow = window;
             cfg.threads = threads;
-            const FlowResult streamed =
-                ValidationFlow(cfg).runTest(program);
+            const auto [streamed, barrier] =
+                streamedAndBarrier(program, cfg);
             expectSameFlowResult(streamed, barrier);
         }
     }
@@ -500,11 +530,7 @@ TEST(StreamingFlow, KeptExecutionsMatchBarrier)
     cfg.exec = bareMetalConfig(Isa::ARMv7);
     cfg.keepExecutions = true;
 
-    FlowConfig barrier_cfg = cfg;
-    barrier_cfg.streamCheck = false;
-    const FlowResult streamed = ValidationFlow(cfg).runTest(program);
-    const FlowResult barrier =
-        ValidationFlow(barrier_cfg).runTest(program);
+    const auto [streamed, barrier] = streamedAndBarrier(program, cfg);
 
     ASSERT_EQ(streamed.executions.size(), barrier.executions.size());
     ASSERT_GT(streamed.executions.size(), 0u);

@@ -198,13 +198,6 @@ TEST(TraceCheck, DumpCheckByteIdenticalAcrossModesAndThreads)
                                   std::string(m.name) + " check t" +
                                       std::to_string(threads));
         }
-
-        // The barrier pipeline must reproduce the same bytes too.
-        TraceCheckOptions barrier;
-        barrier.tracePath = trace.path();
-        barrier.streamCheck = false;
-        expectReportIdentical(inline_run, checkTrace(barrier).summaries,
-                              std::string(m.name) + " barrier check");
     }
 }
 
@@ -477,6 +470,32 @@ TEST(TraceCheck, ForeignHeaderDigestRejectedAsFingerprintMismatch)
     EXPECT_EQ(serial.first, TraceFaultKind::FingerprintMismatch);
     opt.threads = 4;
     EXPECT_EQ(traceErrorOf(opt), serial);
+}
+
+TEST(TraceCheck, RetiredShardSlotInHeaderSpecRejectedAsCorrupt)
+{
+    TempFile trace("shard_slot");
+    auto frames = dumpSmallTrace(trace.path());
+
+    // A trace from a sharded campaign: its spec's retired shard-size
+    // slot (after testRetries, as in dist_test) is non-zero. The spec
+    // no longer decodes, so the header is corrupt, whatever the
+    // identity digest says.
+    TraceHeader header = decodeTraceHeader(std::vector<std::uint8_t>(
+        frames[0].begin() + 1, frames[0].end()));
+    constexpr std::size_t kShardSlot = 4 + 4 + 8 + 4 + 8 + 4 + 8 + 4 +
+        1 + 5 * 8 + 8 + 4 + 8 + 4 + 4;
+    ASSERT_GT(header.spec.size(), kShardSlot);
+    header.spec[kShardSlot] = 8;
+    frames[0] = encodeTraceHeader(header);
+    rewriteFrames(trace.path(), frames);
+
+    TraceCheckOptions opt;
+    opt.tracePath = trace.path();
+    const auto serial = traceErrorOf(opt);
+    EXPECT_EQ(serial.first, TraceFaultKind::Corrupt);
+    EXPECT_NE(serial.second.find("shard-size slot"), std::string::npos)
+        << serial.second;
 }
 
 TEST(TraceCheck, UnitFromAnotherCampaignRejectedBySeedBinding)

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 CI: build + ctest three times — plain, under ASan+UBSan (the
-# MTC_SANITIZE CMake option), and with the SIMD hot-loop kernels
-# enabled (MTC_SIMD=ON, which must stay bit-identical to the scalar
-# fallback) — then re-run the plain and ASan suites with the
+# Tier-1 CI: build + ctest twice — plain and under ASan+UBSan (the
+# MTC_SANITIZE CMake option) — then re-run both suites with the
 # parallel engine active (MTC_THREADS=4) so scheduling bugs and
 # pool-shutdown races can't hide behind the serial default, then
 # scaling- and hotpath-bench smoke runs so the BENCH_*.json emitters
-# can't silently rot (the hotpath smoke also proves the arena-reusing
-# hot path stays bit-identical to per-iteration arenas), and finally a
-# kill-and-resume smoke: a journaled campaign is SIGKILLed mid-run and
-# resumed, and its summary must match an uninterrupted run verbatim.
+# can't silently rot (the hotpath smoke also proves the lockstep
+# engine stays bit-identical to scalar stepping, and the scaling smoke
+# that a sharded collective check returns the unsharded verdicts), a
+# streaming-check smoke (inline campaign vs its trace re-checked by
+# mtc_check), and a kill-and-resume smoke: a journaled campaign is
+# SIGKILLed mid-run and resumed, and its summary must match an
+# uninterrupted run verbatim.
 # The sandbox passes then prove real crash containment end to end: a
 # --die-after drill SIGSEGVs a worker mid-campaign and the run must
 # finish every other unit and exit with the documented crash code, and
@@ -45,13 +46,6 @@ run_suite() {
 run_suite build -DMTC_SANITIZE=OFF
 run_suite build-asan -DMTC_SANITIZE=ON
 
-# SIMD pass: the same suite with the vectorized hot-loop kernels
-# compiled in (MTC_SIMD=ON). Every batched-vs-scalar bit-identity
-# test then runs against the SIMD first-match kernel, so a lane-order
-# divergence in the vector paths fails tier-1 instead of only showing
-# up as a bench digest mismatch.
-run_suite build-simd -DMTC_SANITIZE=OFF -DMTC_SIMD=ON
-
 # Parallel engine pass: campaigns fan (config, test) units across 4
 # workers. Results must stay bit-identical to the serial runs above;
 # the sanitized pass additionally checks the pool's shutdown/join
@@ -68,9 +62,9 @@ grep -q '"distributed":' BENCH_scaling.smoke.json
 grep -q '"trace_check":' BENCH_scaling.smoke.json
 
 # Hot-path smoke at an explicit batch width: the bench exits non-zero
-# if the batched, scalar, or fresh-arena passes diverge (signature-set
-# digests included), and the grep guards the JSON field against
-# emitter drift. The ASan pass runs the same lockstep engine under
+# if the batched and scalar passes diverge (signature-set digests
+# included), and the grep guards the JSON field against emitter
+# drift. The ASan pass runs the same lockstep engine under
 # ASan+UBSan so SoA indexing bugs can't hide in the fast build.
 echo "=== bench/hotpath --smoke --batch 8 (plain) ==="
 ./build/bench/hotpath --smoke --batch 8
@@ -78,82 +72,58 @@ grep -q '"deterministic": true' BENCH_hotpath.smoke.json
 echo "=== bench/hotpath --smoke --batch 8 (asan) ==="
 ./build-asan/bench/hotpath --smoke --batch 8
 grep -q '"deterministic": true' BENCH_hotpath.smoke.json
-echo "=== bench/hotpath --smoke --batch 8 (simd) ==="
-./build-simd/bench/hotpath --smoke --batch 8
-grep -q '"deterministic": true' BENCH_hotpath.smoke.json
 
-# Streaming-check smoke: the same faulted campaign once through the
-# streaming decode→check pipeline (the default; its trace dumped via
-# MTC_DUMP_TRACE) and once through the barrier baseline
-# (--no-stream-check), then the dumped trace re-checked offline by
-# mtc_check verifying 4 units at once. Every summary line — campaign
-# digests and the fault/quarantine accounting included — must be
-# byte-identical, and so must the exit codes; this is the streamed vs
-# barrier vs offline bit-identity gate end to end, in the plain,
-# sanitized, and SIMD trees. A second leg runs a campaign with a real
-# MESI LSQ bug the same four ways (offline at 1 and 4 threads), each
-# exiting 2 with identical campaign lines. (The overlapped
-# decode→check pipeline is gated by stream_check_test's windows x
-# threads matrix.)
+# Streaming-check smoke: a faulted campaign through the streaming
+# decode→check pipeline (its trace dumped via MTC_DUMP_TRACE), then
+# the dumped trace re-checked offline by mtc_check verifying 1 and 4
+# units at once. Every campaign line — digests and the
+# fault/quarantine accounting included — must be byte-identical, and
+# so must the exit codes; this is the inline vs offline bit-identity
+# gate end to end, in the plain and sanitized trees. A second leg runs
+# a campaign with a real MESI LSQ bug the same way, each run exiting
+# 2 with identical campaign lines. (The overlapped decode→check
+# pipeline and the barrier oracle are gated by stream_check_test.)
 stream_smoke() {
-    local bin_dir="$1" tag="$2"
-    local validate="${bin_dir}/tools/mtc_validate"
-    local streamed="build/ci_stream_${tag}.stream.txt"
-    local barrier="build/ci_stream_${tag}.barrier.txt"
+    # $1 tree, $2 tag, $3 the exit code every run must share ("" =
+    # any but 1, a config error), the rest the campaign flags.
+    local bin_dir="$1" tag="$2" want="$3"; shift 3
+    local inline="build/ci_stream_${tag}.inline.txt"
     local offline="build/ci_stream_${tag}.offline.txt"
     local trace="build/ci_stream_${tag}.trace"
-    local args=(--config ARM-4-100-64 --tests 6 --iterations 1024
-                --seed 3 --shard-size 32 --fault-bitflip 0.01
-                --fault-truncate 0.005)
-    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
-    local stream_rc=0 barrier_rc=0 offline_rc=0
-    MTC_DUMP_TRACE="${trace}" "${validate}" "${args[@]}" \
-        > "${streamed}" || stream_rc=$?
-    [ "${stream_rc}" -ne 1 ]
-    "${validate}" "${args[@]}" --no-stream-check \
-        > "${barrier}" || barrier_rc=$?
-    [ "${barrier_rc}" -eq "${stream_rc}" ]
-    diff <(grep -E "^campaign|fault summary" "${streamed}") \
-         <(grep -E "^campaign|fault summary" "${barrier}")
-    "${bin_dir}/tools/mtc_check" "${trace}" --threads 4 \
-        > "${offline}" || offline_rc=$?
-    [ "${offline_rc}" -eq "${stream_rc}" ]
-    diff <(grep '^campaign' "${streamed}") \
-         <(grep '^campaign' "${offline}")
-    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
-
-    # Violating leg: a real LSQ bug on the MESI platform puts cyclic
-    # graphs and contradicted coherence orders through the incremental
-    # ws inference and edge derivation. Streamed, barrier, and offline
-    # at 1 and 4 threads must all confirm the violation (exit 2) with
-    # identical campaign lines.
-    local vargs=(--config x86-4-50-8 --platform mesi --bug lsq
-                 --bug-prob 0.5 --tests 4 --iterations 1024 --seed 3)
+    rm -f "${inline}" "${offline}" "${trace}"
     local rc=0
-    MTC_DUMP_TRACE="${trace}" "${validate}" "${vargs[@]}" \
-        > "${streamed}" || rc=$?
-    [ "${rc}" -eq 2 ]
-    rc=0
-    "${validate}" "${vargs[@]}" --no-stream-check > "${barrier}" || rc=$?
-    [ "${rc}" -eq 2 ]
-    diff <(grep '^campaign' "${streamed}") <(grep '^campaign' "${barrier}")
+    MTC_DUMP_TRACE="${trace}" "${bin_dir}/tools/mtc_validate" "$@" \
+        > "${inline}" || rc=$?
+    if [ -n "${want}" ]; then
+        [ "${rc}" -eq "${want}" ]
+    else
+        [ "${rc}" -ne 1 ]
+    fi
+    local threads offline_rc
     for threads in 1 4; do
-        rc=0
+        offline_rc=0
         "${bin_dir}/tools/mtc_check" "${trace}" --threads "${threads}" \
-            > "${offline}" || rc=$?
-        [ "${rc}" -eq 2 ]
-        diff <(grep '^campaign' "${streamed}") \
+            > "${offline}" || offline_rc=$?
+        [ "${offline_rc}" -eq "${rc}" ]
+        diff <(grep '^campaign' "${inline}") \
              <(grep '^campaign' "${offline}")
     done
-    rm -f "${streamed}" "${barrier}" "${offline}" "${trace}"
+    rm -f "${inline}" "${offline}" "${trace}"
 }
 
+stream_faulted=(--config ARM-4-100-64 --tests 6 --iterations 1024
+                --seed 3 --fault-bitflip 0.01 --fault-truncate 0.005)
+# Violating leg: a real LSQ bug on the MESI platform puts cyclic
+# graphs and contradicted coherence orders through the incremental
+# ws inference and edge derivation.
+stream_lsq=(--config x86-4-50-8 --platform mesi --bug lsq
+            --bug-prob 0.5 --tests 4 --iterations 1024 --seed 3)
 echo "=== streaming-check smoke (plain) ==="
-stream_smoke ./build plain
+stream_smoke ./build plain "" "${stream_faulted[@]}"
+stream_smoke ./build plain 2 "${stream_lsq[@]}"
 echo "=== streaming-check smoke (asan) ==="
-stream_smoke ./build-asan asan
-echo "=== streaming-check smoke (simd) ==="
-stream_smoke ./build-simd simd
+stream_smoke ./build-asan asan "" "${stream_faulted[@]}"
+stream_smoke ./build-asan asan 2 "${stream_lsq[@]}"
 
 # Kill-and-resume smoke: run a journaled campaign, SIGKILL it mid-run
 # (tearing whatever record was in flight), resume from the journal,
@@ -508,4 +478,4 @@ stress_pass() {
 echo "=== stress pass: 20 repeats under 2x oversubscription ==="
 stress_pass
 
-echo "=== CI OK: plain, sanitized, simd, parallel, resume, sandbox, parity, distributed, trace, chaos and stress suites all green ==="
+echo "=== CI OK: plain, sanitized, parallel, resume, sandbox, parity, distributed, trace, chaos and stress suites all green ==="

@@ -19,7 +19,6 @@
  *                         payload digests still match the trace
  *     --threads N         units verified at once, one thread each;
  *                         output is byte-identical at any N [1]
- *     --no-stream         barrier pipeline instead of streaming
  *     --help
  *
  * Exit status extends mtc_validate/mtc_coordinator:
@@ -61,8 +60,6 @@ usage()
         "  --threads N       units verified at once, one thread\n"
         "                    each; output is byte-identical at any\n"
         "                    value (0 = one per core) [1]\n"
-        "  --no-stream       barrier decode-all/check-all pipeline\n"
-        "                    instead of streaming (A/B baseline)\n"
         "exit codes: 0 clean, 1 config error, 2 confirmed violation,\n"
         "            3 corruption only, 4 failed/abandoned units,\n"
         "            5 hang, 6 circuit breaker tripped, 7 trace fault\n";
@@ -91,8 +88,6 @@ parseArgs(int argc, char **argv)
         else if (arg == "--threads")
             opt.threads =
                 static_cast<unsigned>(cli::parseCount(arg, next()));
-        else if (arg == "--no-stream")
-            opt.streamCheck = false;
         else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);

@@ -31,8 +31,6 @@
  *     --threads N       tests run in parallel (sandbox workers
  *                       with --sandbox); 0 = all cores        [1]
  *     --batch N         lockstep batch width; 0 = default     [0]
- *     --shard-size N    collective-checker shard size         [0]
- *     --no-stream-check barrier decode-then-check baseline
  *     --journal PATH    write-ahead unit journal (crash-safe)
  *     --resume          replay completed units from --journal
  *     --test-timeout-ms N  per-test watchdog deadline          [off]
@@ -105,13 +103,6 @@ usage()
         "                    call; 1 = scalar stepping; summaries are\n"
         "                    bit-identical at any width; 0 = default\n"
         "                    width (default: MTC_BATCH if set, else 0)\n"
-        "  --shard-size N    collective-checker shard size; each shard\n"
-        "                    is checked independently at the price of\n"
-        "                    one extra complete sort; 0 = unsharded [0]\n"
-        "  --no-stream-check run the barrier decode-then-check baseline\n"
-        "                    instead of the streaming pipeline (delta\n"
-        "                    decode + incremental edge derivation);\n"
-        "                    results are bit-identical either way\n"
         "  --journal PATH    append each completed test to a crash-safe\n"
         "                    write-ahead journal at PATH\n"
         "  --resume          replay tests already in the journal and\n"
@@ -255,11 +246,6 @@ parseArgs(int argc, char **argv)
         else if (arg == "--batch")
             c.batch = static_cast<std::uint32_t>(
                 cli::parseCount(arg, next(), 0));
-        else if (arg == "--shard-size")
-            c.shardSize =
-                static_cast<std::size_t>(cli::parseCount(arg, next()));
-        else if (arg == "--no-stream-check")
-            c.streamCheck = false;
         else if (arg == "--error-budget")
             c.errorBudget =
                 static_cast<unsigned>(cli::parseCount(arg, next()));
