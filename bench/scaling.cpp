@@ -37,16 +37,16 @@
  * and the torn check must yield only classified faults.
  *
  * With --sandbox a fourth sweep prices the out-of-process execution
- * sandbox: the same campaign dispatched to pre-forked worker
- * processes over framed pipe IPC at several worker counts. The
+ * sandbox: the same campaign dispatched by the fabric coordinator to a
+ * pre-forked worker fleet over socketpairs at several worker counts. The
  * overhead fraction against the serial in-process baseline and its
  * per-unit amortization (fork is paid once, dispatch per unit) land
  * in the JSON; summaries must stay bit-identical at every count.
  *
  * With --distributed a fifth sweep prices the TCP campaign fabric:
  * the same campaign served by a loopback coordinator to forked
- * mtc_worker-equivalent fleets at several fleet sizes (the same
- * frames as the sandbox, plus handshake, leasing and heartbeats).
+ * mtc_worker-equivalent fleets at several fleet sizes (the sandbox's
+ * protocol over TCP, plus heartbeats and two-unit leases).
  * Summaries must stay bit-identical at every fleet size.
  *
  * Wall-clock speedup is bounded by the machine: the JSON records
@@ -514,9 +514,9 @@ main(int argc, char **argv)
 
     // --- Sandbox dispatch overhead (--sandbox) -----------------------
     // Methodology: the exact serial baseline campaign re-run with
-    // ExecutionMode::Sandboxed — every unit shipped to a pre-forked
-    // worker process over framed pipes — at several worker counts.
-    // The fleet fork is paid once per campaign, the request/response
+    // ExecutionMode::Sandboxed — every unit leased to a pre-forked
+    // worker process over a socketpair — at several worker counts.
+    // The fleet fork is paid once per campaign, the lease/result
     // frames per unit, so the JSON records both the total overhead
     // fraction against the in-process baseline and its per-unit
     // amortization. Summaries must stay bit-identical at every count
@@ -563,10 +563,10 @@ main(int argc, char **argv)
     // --- Distributed fabric overhead (--distributed) -----------------
     // Methodology: the exact serial baseline campaign re-run with
     // ExecutionMode::Distributed — a loopback TCP coordinator leasing
-    // units to a forked worker fleet — at several fleet sizes. Same
-    // framed codec as the sandbox pipes, plus the fabric's own costs:
-    // the handshake (spec shipped down per worker), lease round trips
-    // and heartbeats. Summaries must stay bit-identical at every
+    // units to a forked worker fleet — at several fleet sizes. The
+    // sandbox's coordinator and protocol over TCP instead of
+    // socketpairs, plus heartbeats and the spec shipped down per
+    // worker. Summaries must stay bit-identical at every
     // fleet size or the fabric is broken, not just slow.
     struct DistPoint
     {
@@ -933,13 +933,13 @@ main(int argc, char **argv)
         json << "  \"sandbox\": {\n"
              << "    \"methodology\": \"serial baseline campaign "
                 "re-run with ExecutionMode::Sandboxed: every unit "
-                "dispatched to a pre-forked worker process over "
-                "length+FNV-1a framed pipes; overheadFraction is "
+                "leased by the fabric coordinator to a pre-forked "
+                "worker process over a socketpair; overheadFraction is "
                 "(sandboxMs - baselineMs) / baselineMs against the "
                 "in-process serial baseline, dispatchMsPerUnit "
                 "amortizes the same delta over all units (fleet fork "
-                "paid once, one request/response frame pair per "
-                "unit); summaries must stay bit-identical at every "
+                "paid once, one lease/result frame pair per unit); "
+                "summaries must stay bit-identical at every "
                 "worker count\",\n"
              << "    \"sweep\": [\n";
         for (std::size_t i = 0; i < sandbox_points.size(); ++i) {
@@ -961,10 +961,9 @@ main(int argc, char **argv)
              << "    \"methodology\": \"serial baseline campaign "
                 "re-run with ExecutionMode::Distributed: a loopback "
                 "TCP coordinator leasing units to a forked worker "
-                "fleet over the same length+FNV-1a framed codec as "
-                "the sandbox pipes, plus the fabric's handshake "
-                "(campaign spec shipped per worker), lease round "
-                "trips and heartbeats; overheadFraction is "
+                "fleet: the sandbox's coordinator and protocol over "
+                "TCP instead of socketpairs, plus the campaign spec "
+                "shipped per worker and heartbeats; overheadFraction is "
                 "(distributedMs - baselineMs) / baselineMs against "
                 "the in-process serial baseline, dispatchMsPerUnit "
                 "amortizes the same delta over all units; summaries "

@@ -42,13 +42,25 @@ class SigpipeGuard
 
 Coordinator::Coordinator(FabricConfig cfg_arg,
                          std::vector<std::uint8_t> spec_arg)
-    : cfg(cfg_arg), spec(std::move(spec_arg)),
-      listener(cfg_arg.port, cfg_arg.host)
+    : cfg(cfg_arg), spec(std::move(spec_arg))
 {
+    listener.emplace(cfg.port, cfg.host);
     if (cfg.batchSize == 0)
         cfg.batchSize = 1;
     if (cfg.maxInFlightPerWorker == 0)
         cfg.maxInFlightPerWorker = 1;
+}
+
+Coordinator::Coordinator(FabricConfig cfg_arg,
+                         std::vector<std::uint8_t> spec_arg,
+                         WorkerFleet &fleet_arg)
+    : cfg(cfg_arg), spec(std::move(spec_arg)), fleet(&fleet_arg)
+{
+    // One unit per lease, one lease per worker: a death is charged to
+    // exactly the unit that was running.
+    cfg.batchSize = 1;
+    cfg.maxInFlightPerWorker = 1;
+    cfg.heartbeatTimeoutMs = 0;
 }
 
 Coordinator::~Coordinator() = default;
@@ -80,6 +92,7 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
         } phase = Phase::AwaitHello;
         Clock::time_point lastSeen{};
         Clock::time_point acceptedAt{};
+        int slot = -1; ///< fleet slot of an adopted worker; -1 for TCP
         std::array<std::uint8_t, kFabricNonceBytes> clientNonce{};
         std::array<std::uint8_t, kFabricNonceBytes> serverNonce{};
     };
@@ -127,7 +140,7 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
     // decides retry vs give-up; revokeLease already re-queued, so a
     // give-up only needs the done mark.
     const auto charge_lost = [&](const std::vector<std::size_t> &units,
-                                 const std::string &why) {
+                                 const WorkerLoss &why) {
         for (const std::size_t unit : units) {
             ++lossCounts[unit];
             if (loss(unit, lossCounts[unit], why)) {
@@ -138,13 +151,46 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
         }
     };
 
-    const auto drop_conn = [&](std::uint64_t id,
-                               const std::string &why) {
+    const auto remote_loss = [](const std::string &why) {
+        WorkerLoss lost;
+        lost.kind = WorkerLossKind::Remote;
+        lost.why = why;
+        return lost;
+    };
+
+    const auto add_conn = [&](std::unique_ptr<Transport> link, int slot) {
+        Conn c;
+        c.link = std::move(link);
+        c.slot = slot;
+        // Until this peer proves anything it gets the conservative
+        // ceiling: a forged length word must not drive a large
+        // allocation pre-handshake.
+        c.link->setMaxFramePayload(
+            std::min(kPreAuthFramePayloadBytes, cfg.maxFrameBytes));
+        // This loop is the fabric's only thread: a started frame must
+        // finish promptly or be declared dead, or every timer below
+        // stops firing. A fleet worker needs no such bound (and saves
+        // its polls per frame): it writes every frame with one write()
+        // to a socketpair we drain, and its death is EOF.
+        if (slot < 0)
+            c.link->setReceiveDeadlineMs(kFabricFrameDeadlineMs);
+        c.lastSeen = Clock::now();
+        c.acceptedAt = c.lastSeen;
+        conns.emplace(nextConnId++, std::move(c));
+    };
+    const auto adopt = [&](unsigned slot) {
+        add_conn(std::make_unique<Transport>(fleet->takeLink(slot)),
+                 static_cast<int>(slot));
+    };
+
+    const auto drop_conn = [&](std::uint64_t id, const std::string &why,
+                               bool torn = false) {
         const auto it = conns.find(id);
         if (it == conns.end())
             return;
         Conn &c = it->second;
         const bool was_ready = c.phase == Conn::Phase::Ready;
+        const int slot = c.slot;
         const std::string name =
             c.name.empty() ? "conn#" + std::to_string(id) : c.name;
         std::vector<std::size_t> lost_units;
@@ -162,6 +208,20 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
         }
         c.link->close();
         conns.erase(it);
+        if (slot >= 0) {
+            // A sandboxed worker: the fleet reaps and classifies it and
+            // forks the slot's next generation, which we adopt.
+            const WorkerLoss lost = fleet->replace(
+                static_cast<unsigned>(slot), torn, unit_count);
+            adopt(static_cast<unsigned>(slot));
+            if (was_ready)
+                ++fabricStats.workersLost;
+            if (lost_units.empty())
+                warn("sandbox: worker " + std::to_string(slot) +
+                     " died while idle: " + lost.describe());
+            charge_lost(lost_units, lost);
+            return;
+        }
         if (was_ready) {
             ++fabricStats.workersLost;
             warn("fabric: lost worker '" + name + "' (" + why + "); " +
@@ -178,7 +238,7 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
                 }
             }
         }
-        charge_lost(lost_units, why);
+        charge_lost(lost_units, remote_loss(why));
     };
 
     // Handshake refusal: the connection never became a worker, so no
@@ -249,6 +309,10 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
             result(unit, payload);
             unitSource[unit] = producer;
         } catch (const DistError &err) {
+            // A fleet's workers are this binary: a rejected result is
+            // a harness bug, not Byzantine behaviour to route around.
+            if (fleet)
+                throw;
             warn("fabric: result for unit " + std::to_string(unit) +
                  (producer.empty() ? std::string()
                                    : " from '" + producer + "'") +
@@ -450,13 +514,21 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
     // there are few); then fresh work. With no worker available,
     // still resolve the leading units that need no execution (journal
     // replay, tripped breaker) so a fully-replayed campaign finishes
-    // without one.
+    // without one. A fleet starts once its whole initial generation
+    // has handshaken, so the first units go out in slot order
+    // whichever worker said Hello first (slot 0 runs unit 0, where the
+    // --die-after drill is armed).
+    bool fleet_starting = fleet != nullptr;
+    std::vector<std::uint64_t> ready_ids;
     const auto grant_leases = [&]() {
-        std::vector<std::uint64_t> ready_ids;
+        ready_ids.clear();
         for (const auto &[id, c] : conns) {
             if (c.phase == Conn::Phase::Ready)
                 ready_ids.push_back(id);
+            else if (fleet_starting)
+                return;
         }
+        fleet_starting = false;
         if (ready_ids.empty()) {
             while (table.pendingCount() > 0) {
                 const std::vector<std::size_t> front =
@@ -590,15 +662,22 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
         }
     };
 
+    if (fleet) {
+        for (unsigned slot = 0; slot < fleet->size(); ++slot)
+            adopt(slot);
+    }
+
     Clock::time_point idle_since = Clock::now();
+    std::vector<pollfd> pfds;
+    std::vector<std::uint64_t> poll_ids;
     while (!table.allDone()) {
         grant_leases();
         if (table.allDone())
             break;
 
-        std::vector<pollfd> pfds;
-        std::vector<std::uint64_t> poll_ids;
-        pfds.push_back({listener.fd(), POLLIN, 0});
+        pfds.clear();
+        poll_ids.clear();
+        pfds.push_back({listenerFd(), POLLIN, 0});
         poll_ids.push_back(0);
         for (const auto &[id, c] : conns) {
             pfds.push_back({c.link->receiveFd(), POLLIN, 0});
@@ -611,34 +690,21 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
 
         if (rc > 0 && (pfds[0].revents & POLLIN)) {
             try {
-                const int fd = listener.acceptClient();
-                Transport base(fd, "fabric worker link");
-                Conn c;
+                Transport base(listener->acceptClient(),
+                               "fabric worker link");
                 if (cfg.netFault.any()) {
                     NetFaultConfig nf = cfg.netFault;
                     std::uint64_t s =
                         nf.seed ^
                         (0x6a09e667f3bcc909ull * nextConnId);
                     nf.seed = splitMix64(s);
-                    c.link = std::make_unique<FaultyTransport>(
-                        std::move(base), nf);
+                    add_conn(std::make_unique<FaultyTransport>(
+                                 std::move(base), nf),
+                             -1);
                 } else {
-                    c.link =
-                        std::make_unique<Transport>(std::move(base));
+                    add_conn(
+                        std::make_unique<Transport>(std::move(base)), -1);
                 }
-                // Until this peer proves anything it gets the
-                // conservative ceiling: a forged length word must not
-                // drive a large allocation pre-handshake.
-                c.link->setMaxFramePayload(
-                    std::min(kPreAuthFramePayloadBytes,
-                             cfg.maxFrameBytes));
-                // This loop is the fabric's only thread: a started
-                // frame must finish promptly or be declared dead, or
-                // every timer below stops firing.
-                c.link->setReceiveDeadlineMs(kFabricFrameDeadlineMs);
-                c.lastSeen = Clock::now();
-                c.acceptedAt = c.lastSeen;
-                conns.emplace(nextConnId++, std::move(c));
             } catch (const SocketError &err) {
                 warn(std::string("fabric: accept failed: ") +
                      err.what());
@@ -658,8 +724,9 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
             try {
                 got = c.link->receive(payload);
             } catch (const FramingError &err) {
-                drop_conn(id, std::string("framing fault: ") +
-                                  err.what());
+                drop_conn(id,
+                          std::string("framing fault: ") + err.what(),
+                          /*torn=*/true);
                 continue;
             }
             if (!got) {
@@ -785,6 +852,21 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
         }
         if (cfg.leaseTimeoutMs) {
             for (const std::uint64_t lease : table.expired(now)) {
+                const auto owner = conns.find(table.leaseOwner(lease));
+                if (owner == conns.end())
+                    continue; // revoked earlier in this sweep
+                if (owner->second.slot >= 0) {
+                    // A sandboxed worker past the hard deadline ignored
+                    // its own watchdog: SIGKILL it; the loss is
+                    // HardKill.
+                    warn("sandbox: worker " +
+                         std::to_string(owner->second.slot) +
+                         " blew the hard deadline; SIGKILLing it");
+                    fleet->hardKill(
+                        static_cast<unsigned>(owner->second.slot));
+                    drop_conn(owner->first, "hard deadline");
+                    continue;
+                }
                 const bool is_audit = table.leaseIsAudit(lease);
                 const std::vector<std::size_t> units =
                     table.revokeLease(lease);
@@ -793,7 +875,7 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
                      " expired; reassigning " +
                      std::to_string(units.size()) + " unit(s)");
                 if (!is_audit)
-                    charge_lost(units, "lease timeout");
+                    charge_lost(units, remote_loss("lease timeout"));
             }
         }
         if (!conns.empty()) {
@@ -821,6 +903,8 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
     }
     conns.clear();
 
+    if (!listener)
+        return;
     // A campaign can resolve before late workers are ever accepted —
     // a fully journal-replayed resume finishes without executing a
     // single unit, and a small remainder can drain while a worker is
@@ -830,11 +914,11 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
     // with Done, then close the listener so anything later is refused
     // outright instead of queued unanswered.
     for (int drained = 0; drained < 64; ++drained) {
-        pollfd pfd{listener.fd(), POLLIN, 0};
+        pollfd pfd{listener->fd(), POLLIN, 0};
         if (::poll(&pfd, 1, 0) <= 0 || !(pfd.revents & POLLIN))
             break;
         try {
-            Transport late(listener.acceptClient(),
+            Transport late(listener->acceptClient(),
                            "fabric late worker link");
             late.setReceiveDeadlineMs(kFabricFrameDeadlineMs);
             try {
@@ -847,7 +931,7 @@ Coordinator::run(std::size_t unit_count, const RequestFn &request,
             break;
         }
     }
-    listener.close();
+    listener->close();
 }
 
 } // namespace mtc

@@ -1,17 +1,19 @@
 /**
  * @file
  * Fault-tolerant campaign coordinator: the server side of the
- * distributed fabric.
+ * distributed fabric, and the dispatcher of every out-of-process
+ * campaign.
  *
- * The coordinator owns the campaign plan. Workers connect over TCP,
- * handshake (protocol version checked, campaign spec shipped down),
- * and are streamed *leases* — batches of opaque unit requests. The
- * client callbacks mirror SandboxPool exactly (request / result /
- * loss), so the campaign engine drives a fleet of machines with the
- * same code shape it uses for a fleet of forked children, and the
- * merged summary is bit-identical to a serial in-process run at any
- * fleet size: per-unit seeds are fixed by the plan, results land in
- * per-unit slots, and the fold happens in unit order after run().
+ * The coordinator owns the campaign plan. Workers handshake (protocol
+ * version checked, campaign spec shipped down) and are streamed
+ * *leases* — batches of opaque unit requests. They reach it one of two
+ * ways: over TCP, accepted on its listener, or as a local sandboxed
+ * fleet (src/dist/fleet.h) whose already-connected socketpairs it
+ * adopts without binding any port. The client callbacks (request /
+ * result / loss) are the same either way, and the merged summary is
+ * bit-identical to a serial in-process run at any fleet size: per-unit
+ * seeds are fixed by the plan, results land in per-unit slots, and the
+ * fold happens in unit order after run().
  *
  * Robustness properties (see tests/dist_test.cpp for the matrix):
  *  - liveness is heartbeat-based: a silent worker past the timeout is
@@ -27,9 +29,15 @@
  *    banned and its reconnects refused (the fabric's circuit
  *    breaker), while its units migrate to healthy workers.
  *
- * Single-threaded poll loop; no threads are created, so a client may
- * fork loopback workers after constructing the Coordinator (the same
- * fork-before-threads discipline the sandbox pool relies on).
+ * A sandboxed fleet changes what a loss is. Its leases are one unit
+ * each, so a death is charged to exactly the unit that was running;
+ * the fleet reaps and classifies the dead child (WorkerLoss) and the
+ * coordinator adopts its respawn. Heartbeats are off (EOF is the
+ * liveness signal), and the lease timeout is a hard deadline: past
+ * it the worker is SIGKILLed and the loss is HardKill.
+ *
+ * Single-threaded poll loop; no threads are created, so the fleet may
+ * fork (and respawn) workers while the Coordinator exists.
  */
 
 #ifndef MTC_DIST_COORDINATOR_H
@@ -42,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/fleet.h"
 #include "dist/protocol.h"
 #include "support/fault_transport.h"
 #include "support/framing.h"
@@ -71,7 +80,9 @@ struct FabricConfig
     std::uint64_t heartbeatTimeoutMs = 10000;
 
     /** A lease unfinished this long is revoked and its units
-     * reassigned (the worker stays connected); 0 disables. */
+     * reassigned (the worker stays connected); for a sandboxed
+     * fleet's worker it is the hard deadline past which the worker
+     * is SIGKILLed. 0 disables. */
     std::uint64_t leaseTimeoutMs = 0;
 
     /** Worker losses tolerated per worker name before its reconnects
@@ -148,17 +159,24 @@ struct FabricStats
 class Coordinator
 {
   public:
-    /** Request/result/loss callbacks — the SandboxPool contract. The
-     * loss callback additionally receives the per-unit loss count and
-     * a reason; returning true re-queues the unit, false abandons it
-     * (the client records the failure). */
+    /** Produces the request payload for a unit, or nullopt when the
+     * unit resolves without running (journal replay, tripped
+     * breaker). */
     using RequestFn = std::function<std::optional<
         std::vector<std::uint8_t>>(std::size_t unit)>;
+
+    /** Receives a completed unit's response payload. */
     using ResultFn =
         std::function<void(std::size_t unit,
                            const std::vector<std::uint8_t> &payload)>;
+
+    /** Receives a lost unit with its per-unit loss count and the
+     * loss: classified from the exit status for a sandboxed worker,
+     * Remote (with the reason) for a TCP one. Returning true
+     * re-queues the unit, false abandons it (the client records the
+     * failure). */
     using LossFn = std::function<bool(std::size_t unit, unsigned losses,
-                                      const std::string &why)>;
+                                      const WorkerLoss &loss)>;
 
     /**
      * Byzantine-audit callbacks. The fabric stays payload-agnostic:
@@ -185,20 +203,29 @@ class Coordinator
      */
     Coordinator(FabricConfig cfg, std::vector<std::uint8_t> spec);
 
+    /**
+     * Serve sandboxed @p fleet's workers over their channels; binds no
+     * port. Forces one-unit leases (batchSize = maxInFlightPerWorker
+     * = 1) and turns heartbeat liveness off; cfg.leaseTimeoutMs is
+     * the hard deadline. run() may respawn the fleet's slots, so keep
+     * the process single-threaded while it runs.
+     */
+    Coordinator(FabricConfig cfg, std::vector<std::uint8_t> spec,
+                WorkerFleet &fleet);
+
     ~Coordinator();
 
     Coordinator(const Coordinator &) = delete;
     Coordinator &operator=(const Coordinator &) = delete;
 
-    /** Bound TCP port (the ephemeral port when cfg.port was 0). */
-    std::uint16_t port() const { return listener.port(); }
+    /** Bound TCP port (the ephemeral port when cfg.port was 0); 0
+     * when serving a fleet. */
+    std::uint16_t port() const { return listener ? listener->port() : 0; }
 
-    /** The listening descriptor. A client that forks loopback workers
-     * MUST close this in each child: an inherited copy keeps the
-     * listening socket alive after run() closes it, so a late worker's
-     * connect would be queued (never accepted, never refused) instead
-     * of getting the definitive reset that ends its reconnect loop. */
-    int listenerFd() const { return listener.fd(); }
+    /** The listening descriptor, -1 when serving a fleet. Every
+     * loopback worker must close it (WorkerFleet does); see
+     * WorkerFleet's loopback constructor for why. */
+    int listenerFd() const { return listener ? listener->fd() : -1; }
 
     /**
      * Serve the campaign: accept workers, stream leases, merge
@@ -227,7 +254,8 @@ class Coordinator
   private:
     FabricConfig cfg;
     std::vector<std::uint8_t> spec;
-    TcpListener listener;
+    std::optional<TcpListener> listener;
+    WorkerFleet *fleet = nullptr;
     FabricStats fabricStats;
 };
 

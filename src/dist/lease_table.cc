@@ -221,6 +221,13 @@ LeaseTable::leaseIsAudit(std::uint64_t lease) const
     return it != leases.end() && it->second.isAudit;
 }
 
+std::uint64_t
+LeaseTable::leaseOwner(std::uint64_t lease) const
+{
+    const auto it = leases.find(lease);
+    return it != leases.end() ? it->second.owner : 0;
+}
+
 std::vector<std::uint64_t>
 LeaseTable::leasesOf(std::uint64_t owner) const
 {

@@ -69,8 +69,9 @@ class LeaseTable
     std::vector<std::size_t> takePending(std::size_t max);
 
     /** Return units to the front of the pending queue (dispatch-order
-     * position is what keeps retried units ahead of fresh work, the
-     * same policy as the sandbox pool). */
+     * position is what keeps retried units ahead of fresh work: a
+     * sandboxed worker's lost unit runs next, on whichever worker is
+     * free first). */
     void requeueFront(const std::vector<std::size_t> &units);
 
     /** Mark a unit done outside any lease (journal replay, tripped
@@ -146,6 +147,10 @@ class LeaseTable
 
     /** Whether @p lease is an open audit lease. */
     bool leaseIsAudit(std::uint64_t lease) const;
+
+    /** Owner of open lease @p lease; 0 (never a connection id) if it
+     * is closed. */
+    std::uint64_t leaseOwner(std::uint64_t lease) const;
 
     /** Open lease ids whose deadline passed at @p now. */
     std::vector<std::uint64_t> expired(Clock::time_point now) const;

@@ -9,11 +9,11 @@
  *   worker -> coordinator:  Hello, Result, Heartbeat, AuthProof
  *   coordinator -> worker:  Welcome, Reject, Lease, Done, Challenge
  *
- * The fabric is payload-agnostic, exactly like the sandbox pool: a
- * Lease carries opaque unit request blobs, a Result carries one
- * opaque response blob. What those bytes mean (campaign unit records)
- * is the harness layer's business (src/harness/dist_campaign.h), so
- * this library depends only on mtc_support.
+ * The fabric is payload-agnostic: a Lease carries opaque unit request
+ * blobs, a Result carries one opaque response blob. What those bytes
+ * mean (campaign unit records) is the harness layer's business
+ * (src/harness/dist_campaign.h), so this library depends only on
+ * mtc_support.
  *
  * Versioning: Hello carries kDistProtocolVersion; the coordinator
  * rejects mismatches at the handshake with a Reject message rather

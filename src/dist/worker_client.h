@@ -33,6 +33,7 @@
 #include "dist/protocol.h"
 #include "support/fault_transport.h"
 #include "support/framing.h"
+#include "support/transport.h"
 
 namespace mtc
 {
@@ -110,6 +111,31 @@ using WorkerUnitFn = std::function<std::vector<std::uint8_t>(
 WorkerRunStats runWorkerClient(const WorkerClientConfig &cfg,
                                const WorkerSpecFn &spec_fn,
                                const WorkerUnitFn &unit_fn);
+
+/** How one worker session ended. */
+enum class SessionEnd : std::uint8_t
+{
+    Done,     ///< the coordinator said Done: the campaign is over
+    Lost,     ///< the link dropped after a completed handshake
+    NoSession ///< the handshake did not complete (retryable)
+};
+
+/**
+ * Serve one session on a connected @p link: handshake (version, key
+ * proof when cfg.key is set, spec to @p spec_fn), then run leased
+ * units through @p unit_fn, one Result each, until Done or the link
+ * drops. runWorkerClient() calls it once per connection; a sandboxed
+ * local worker (src/dist/fleet.h) once on its socketpair. Counts
+ * units in @p stats; @p anomaly receives the reason when an
+ * unexpected handshake reply ends a NoSession.
+ *
+ * @throws DistError on a rejection or an authentication dead end.
+ */
+SessionEnd serveWorkerSession(Transport &link,
+                              const WorkerClientConfig &cfg,
+                              const WorkerSpecFn &spec_fn,
+                              const WorkerUnitFn &unit_fn,
+                              WorkerRunStats &stats, std::string &anomaly);
 
 } // namespace mtc
 

@@ -17,7 +17,6 @@
 #include "harness/campaign_journal.h"
 #include "harness/campaign_plan.h"
 #include "harness/dist_campaign.h"
-#include "harness/sandbox.h"
 #include "harness/trace_check.h"
 #include "harness/watchdog.h"
 #include "sim/executor.h"
@@ -485,26 +484,41 @@ appendNote(std::string &note, const std::string &addition)
 }
 
 /**
- * Sandboxed unit engine: dispatch every unit to the pre-forked worker
- * fleet over framed pipes. The parent keeps the journal, the breaker
- * and the outcome slots; the children run runPlannedTest and nothing
- * else. Determinism is preserved exactly as in the threaded engine —
- * pre-derived seeds, per-unit slots, in-order aggregation — so the
- * summary is bit-identical to in-process at any worker count.
+ * Out-of-process unit engine: serve the campaign's flat unit list
+ * through the fabric coordinator (src/dist/coordinator.h) to a forked
+ * local fleet (src/dist/fleet.h). The parent keeps the journal, the
+ * breaker and the outcome slots; workers run runPlannedTest and
+ * nothing else. Determinism is preserved exactly as in the threaded
+ * engine — pre-derived seeds, per-unit slots, in-order aggregation —
+ * so the summary is bit-identical to in-process at any fleet size.
  *
- * A worker loss is charged like an in-flow platform crash: retried on
- * a fresh worker while the unit's crash budget
+ * The two modes differ in the fleet and in what a lost worker means.
+ *
+ * Sandboxed: `threads` sandboxed slots on socketpairs, no listener,
+ * under the rlimit budgets, running units from the parent's in-memory
+ * plans. A worker loss is charged like an in-flow platform crash:
+ * retried on a fresh worker while the unit's crash budget
  * (recovery.crashRetries) lasts, every consumed death merged into the
- * final outcome's platformCrashes + fault.crashRetries (which feed
- * the violation count, the breaker, and the CLI's crash exit code),
- * and the child's last-gasp crash report attached to the fault note.
- * A hard-deadline SIGKILL (non-cooperative hang) is recorded as Hung
+ * final outcome's platformCrashes + fault.crashRetries (which feed the
+ * violation count, the breaker, and the CLI's crash exit code), and
+ * the child's last-gasp crash report attached to the fault note. A
+ * hard-deadline SIGKILL (non-cooperative hang) is recorded as Hung
  * without retry: the child's own watchdog and in-child retries
  * already had their chance — a unit that wedges past them would only
  * wedge the respawn too.
+ *
+ * Distributed: `distWorkers` loopback workers connect over TCP, and
+ * external mtc_worker processes may attach to the same port. A lost
+ * worker is a *fabric* event, not a platform crash — the unit's
+ * leased work simply never happened, and reassignment re-executes it
+ * from its pre-derived seeds to the very same result. So losses are
+ * not charged to the outcome, which is what keeps the summary
+ * bit-identical to a serial run even when workers die mid-batch. Only
+ * a unit that keeps losing workers past the reassignment cap is
+ * abandoned and recorded Failed.
  */
 void
-runUnitsSandboxed(
+runUnitsOutOfProcess(
     const std::vector<TestConfig> &configs,
     const CampaignConfig &campaign,
     const std::vector<ConfigPlan> &plans,
@@ -513,85 +527,155 @@ runUnitsSandboxed(
     const std::function<bool(std::size_t)> &resolve_without_running,
     const std::function<void(std::size_t)> &record_outcome)
 {
-    SandboxConfig sandbox;
-    sandbox.workers = ThreadPool::resolveThreads(campaign.threads);
-    sandbox.memLimitMb = campaign.sandboxMemMb;
-    sandbox.cpuLimitS = campaign.sandboxCpuS;
-    // 2x the per-attempt watchdog deadline, per attempt the child may
-    // legitimately burn: the cooperative path always wins the race
-    // when it works at all, and the SIGKILL bound stays within the
-    // documented 2x-timeout reclaim guarantee.
-    if (campaign.testTimeoutMs) {
-        sandbox.hardDeadlineMs = 2 * campaign.testTimeoutMs *
-            (campaign.testRetries + 1);
-    }
+    using Bytes = std::vector<std::uint8_t>;
+    const bool sandboxed = campaign.mode == ExecutionMode::Sandboxed;
+    const char *const tag = sandboxed ? "sandbox: " : "fabric: ";
 
-    // Child-side state, materialized per worker process after the
-    // fork (a watchdog thread must never exist in the forking
-    // parent).
-    struct ChildRuntime
-    {
-        std::unique_ptr<Watchdog> watchdog;
-    };
-    auto child_runtime = std::make_shared<ChildRuntime>();
-
-    SandboxPool::WorkerFn worker_fn =
-        [&configs, &plans, &campaign, child_runtime](
-            const std::vector<std::uint8_t> &request,
-            const WorkerEnv &env) -> std::vector<std::uint8_t> {
-        const auto [c, t] = decodeUnitRequest(request);
-
-        FlowConfig flow = plans[c].flow;
-        if (env.workerIndex != 0 || env.generation != 0) {
-            // The hard-failure drills arm only the initial fleet's
-            // first worker: one observable containment event, then
-            // the retried unit completes on an unarmed respawn.
-            flow.exec.dieAfterRuns = 0;
-            flow.exec.leakAfterRuns = 0;
-        }
-        if (campaign.testTimeoutMs && !child_runtime->watchdog)
-            child_runtime->watchdog = std::make_unique<Watchdog>();
-
-        setCrashContext(configs[c].name() + "#" + std::to_string(t),
-                        plans[c].tests[t].genSeed);
+    // A unit's encoded record, run from the parent's plans: in a
+    // sandboxed child, or in the coordinator as the audit arbiter.
+    const auto execute_unit = [&](std::size_t c, std::size_t t,
+                                  const FlowConfig &flow,
+                                  Watchdog *watchdog) {
         UnitRecord record;
         record.configName = configs[c].name();
         record.testIndex = static_cast<std::uint32_t>(t);
         record.genSeed = plans[c].tests[t].genSeed;
         record.flowSeed = plans[c].tests[t].flowSeed;
-        record.outcome = runPlannedTest(
-            configs[c], flow, plans[c].tests[t], campaign,
-            static_cast<unsigned>(t), child_runtime->watchdog.get());
-        clearCrashContext();
+        record.outcome = runPlannedTest(configs[c], flow,
+                                        plans[c].tests[t], campaign,
+                                        static_cast<unsigned>(t), watchdog);
         record.outcome.result.executions.clear();
         return encodeUnitRecord(record);
     };
+    // Built lazily wherever a unit first runs with a deadline: in a
+    // sandboxed child after its fork, or in the coordinator on its
+    // first arbitration (after the loopback fleet forked). Either way
+    // the forking parent never holds its thread.
+    std::unique_ptr<Watchdog> watchdog;
+    const auto lazy_watchdog = [&]() {
+        if (campaign.testTimeoutMs && !watchdog)
+            watchdog = std::make_unique<Watchdog>();
+        return watchdog.get();
+    };
 
-    SandboxPool pool(sandbox, worker_fn);
+    FabricConfig fabric;
+    std::unique_ptr<WorkerFleet> fleet;
+    std::unique_ptr<Coordinator> coordinator;
+    if (sandboxed) {
+        FleetConfig fleet_cfg;
+        fleet_cfg.workers = ThreadPool::resolveThreads(campaign.threads);
+        fleet_cfg.memLimitMb = campaign.sandboxMemMb;
+        fleet_cfg.cpuLimitS = campaign.sandboxCpuS;
+        // The hard deadline: 2x the per-attempt watchdog deadline, per
+        // attempt the child may legitimately burn. The cooperative
+        // path always wins the race when it works at all, and the
+        // SIGKILL bound stays within the documented 2x-timeout reclaim
+        // guarantee.
+        fabric.leaseTimeoutMs =
+            2 * campaign.testTimeoutMs * (campaign.testRetries + 1);
+        fleet = std::make_unique<WorkerFleet>(
+            fleet_cfg, [&](const Bytes &request, const WorkerSlot &slot) {
+                const auto [c, t] = decodeUnitRequest(request);
+                FlowConfig flow = plans[c].flow;
+                if (slot.index != 0 || slot.generation != 0) {
+                    // The hard-failure drills arm only the initial
+                    // fleet's first worker: one observable containment
+                    // event, then the retried unit completes on an
+                    // unarmed respawn.
+                    flow.exec.dieAfterRuns = 0;
+                    flow.exec.leakAfterRuns = 0;
+                }
+                setCrashContext(configs[c].name() + "#" + std::to_string(t),
+                                plans[c].tests[t].genSeed);
+                Bytes response = execute_unit(c, t, flow, lazy_watchdog());
+                clearCrashContext();
+                return response;
+            });
+        coordinator = std::make_unique<Coordinator>(fabric, Bytes{}, *fleet);
+    } else {
+        fabric.port = campaign.distPort;
+        fabric.host = campaign.distHost;
+        fabric.batchSize = campaign.distBatch;
+        fabric.maxInFlightPerWorker = campaign.distMaxInFlight;
+        fabric.heartbeatTimeoutMs = campaign.distHeartbeatTimeoutMs;
+        fabric.leaseTimeoutMs = campaign.distLeaseTimeoutMs;
+        fabric.netFault = campaign.distNetFault;
+        // Chaos mode needs lease revocation for liveness: a dropped
+        // Lease (or Result) frame leaves a healthy, heartbeating worker
+        // that will never serve that lease, and only the lease timeout
+        // can reclaim it. Heartbeat liveness cannot — the worker isn't
+        // dead.
+        if (fabric.netFault.any() && fabric.leaseTimeoutMs == 0)
+            fabric.leaseTimeoutMs = 5000;
+        // A loopback fleet that died for good must fail the campaign,
+        // not hang it; an external fleet is the operator's to attach
+        // whenever.
+        fabric.stallTimeoutMs = campaign.distWorkers ? 60000 : 0;
+        if (!campaign.distKeyFile.empty())
+            fabric.key = loadFabricKey(campaign.distKeyFile);
+        fabric.auditRate = campaign.distAuditRate;
+        // The audit sample must be reproducible for a given campaign
+        // but uncorrelated with every other consumer of the seed.
+        std::uint64_t audit_seed_src =
+            campaign.seed ^ 0xa5a5a5a55a5a5a5aull;
+        fabric.auditSeed = splitMix64(audit_seed_src);
+
+        CampaignSpec spec;
+        spec.configs = configs;
+        spec.campaign = campaign;
+        coordinator = std::make_unique<Coordinator>(
+            fabric, encodeCampaignSpec(spec));
+        if (!campaign.distPortFile.empty()) {
+            std::ofstream port_file(campaign.distPortFile,
+                                    std::ios::trunc);
+            port_file << coordinator->port() << '\n';
+            if (!port_file)
+                throw ConfigError("cannot write coordinator port to '" +
+                                  campaign.distPortFile + "'");
+        }
+        // Worker 0 carries the die-mid-batch drill when armed. The
+        // Byzantine drill rides on the LAST worker so it never
+        // collides with worker 0's exit drill, and an honest worker
+        // exists to audit against whenever distWorkers >= 2.
+        const std::uint16_t port = coordinator->port();
+        fleet = std::make_unique<WorkerFleet>(
+            campaign.distWorkers, coordinator->listenerFd(),
+            [&, port](unsigned i) {
+                LoopbackWorkerOptions wopts;
+                wopts.exitAfterUnits =
+                    i == 0 ? campaign.distDrillExitAfter : 0;
+                wopts.corruptResults = campaign.distDrillCorrupt &&
+                    i + 1 == campaign.distWorkers;
+                wopts.key = fabric.key;
+                wopts.netFault = campaign.distNetFault;
+                runLoopbackWorker(port, i, wopts);
+            });
+    }
 
     std::vector<unsigned> crash_attempts(units.size(), 0);
     std::vector<std::string> crash_notes(units.size());
 
-    const SandboxPool::RequestFn request_fn =
-        [&](std::size_t u) -> std::optional<std::vector<std::uint8_t>> {
+    const Coordinator::RequestFn request_fn =
+        [&](std::size_t u) -> std::optional<Bytes> {
         if (resolve_without_running(u))
             return std::nullopt;
         const auto [c, t] = units[u];
         return encodeUnitRequest(c, t);
     };
 
-    const SandboxPool::ResultFn result_fn =
-        [&](std::size_t u, const std::vector<std::uint8_t> &payload) {
+    const Coordinator::ResultFn result_fn = [&](std::size_t u,
+                                                const Bytes &payload) {
         const auto [c, t] = units[u];
         UnitRecord record = decodeUnitRecord(payload);
         const TestPlan &plan = plans[c].tests[t];
         if (record.configName != configs[c].name() ||
             record.testIndex != t || record.genSeed != plan.genSeed ||
             record.flowSeed != plan.flowSeed) {
-            throw SandboxError(
-                "sandbox: worker response does not match the "
-                "dispatched unit (test " + std::to_string(t) + " of " +
-                configs[c].name() + ")");
+            throw DistError(std::string(tag) +
+                            "worker response does not match the "
+                            "dispatched unit (test " +
+                            std::to_string(t) + " of " +
+                            configs[c].name() + ")");
         }
         TestOutcome &slot = outcomes[c][t];
         slot = record.outcome;
@@ -600,197 +684,58 @@ runUnitsSandboxed(
             // exactly like in-flow platform crashes.
             slot.result.platformCrashes += crash_attempts[u];
             slot.result.fault.crashRetries += crash_attempts[u];
-            appendNote(slot.result.fault.note,
-                       "sandbox: " + crash_notes[u]);
+            appendNote(slot.result.fault.note, tag + crash_notes[u]);
         }
         record_outcome(u);
     };
 
-    const SandboxPool::LossFn loss_fn =
-        [&](std::size_t u, const WorkerLoss &loss) -> bool {
+    // Reassignments per unit before a distributed campaign gives up.
+    // Generous on purpose: a reassigned unit costs one re-execution, an
+    // abandoned unit costs a campaign hole.
+    constexpr unsigned kMaxUnitLosses = 8;
+    const Coordinator::LossFn loss_fn = [&](std::size_t u, unsigned losses,
+                                            const WorkerLoss &loss) {
         const auto [c, t] = units[u];
         TestOutcome &slot = outcomes[c][t];
-
+        if (!sandboxed) {
+            if (losses <= kMaxUnitLosses)
+                return true; // reassign; the re-execution is bit-identical
+            slot = TestOutcome{};
+            slot.status = TestStatus::Failed;
+            slot.ok = false;
+            slot.result.fault.note = "fabric: abandoned after " +
+                std::to_string(losses) + " worker losses (" +
+                loss.describe() + ")";
+            warn("test " + std::to_string(t) + " of " +
+                 configs[c].name() + " abandoned after " +
+                 std::to_string(losses) + " worker losses");
+            record_outcome(u);
+            return false;
+        }
         if (loss.kind == WorkerLossKind::HardKill) {
             slot = TestOutcome{};
             slot.status = TestStatus::Hung;
             slot.ok = false;
             slot.hungAttempts = 1;
-            slot.result.fault.note = "sandbox: " + loss.describe();
-            warn("test " + std::to_string(t) + " of " +
-                 configs[c].name() +
-                 " hung non-cooperatively; worker reclaimed by "
-                 "SIGKILL");
+            slot.result.fault.note = tag + loss.describe();
+            warn("test " + std::to_string(t) + " of " + configs[c].name() +
+                 " hung non-cooperatively; worker reclaimed by SIGKILL");
             record_outcome(u);
             return false;
         }
-
         ++crash_attempts[u];
         appendNote(crash_notes[u], loss.describe());
         warn("test " + std::to_string(t) + " of " + configs[c].name() +
-             " lost its worker (death " +
-             std::to_string(crash_attempts[u]) + "): " +
-             loss.describe());
+             " lost its worker (death " + std::to_string(crash_attempts[u]) +
+             "): " + loss.describe());
         if (crash_attempts[u] <= campaign.recovery.crashRetries)
             return true; // retry on the freshly respawned worker
-
         slot = TestOutcome{};
         slot.status = TestStatus::Failed;
         slot.ok = false;
         slot.result.platformCrashes = crash_attempts[u];
         slot.result.fault.crashRetries = campaign.recovery.crashRetries;
-        slot.result.fault.note = "sandbox: " + crash_notes[u];
-        record_outcome(u);
-        return false;
-    };
-
-    pool.run(units.size(), request_fn, result_fn, loss_fn);
-}
-
-/**
- * Distributed unit engine: serve the campaign's flat unit list over
- * the TCP fabric (src/dist/coordinator.h) to a forked loopback fleet
- * plus any externally attached mtc_worker processes. The parent keeps
- * the journal, the breaker and the outcome slots, exactly as in
- * sandboxed mode.
- *
- * The loss policy is where distributed deliberately differs from
- * sandboxed: a lost worker is a *fabric* event, not a platform crash
- * — the unit's leased work simply never happened, and reassignment
- * re-executes it from its pre-derived seeds to the very same result.
- * So losses are not charged to the outcome (no platformCrashes, no
- * crash-retry budget), which is what keeps the summary bit-identical
- * to a serial run even when workers die mid-batch. Only a unit that
- * keeps losing workers past the reassignment cap is abandoned and
- * recorded Failed.
- */
-void
-runUnitsDistributed(
-    const std::vector<TestConfig> &configs,
-    const CampaignConfig &campaign,
-    const std::vector<ConfigPlan> &plans,
-    const std::vector<std::pair<std::size_t, std::size_t>> &units,
-    std::vector<std::vector<TestOutcome>> &outcomes,
-    const std::function<bool(std::size_t)> &resolve_without_running,
-    const std::function<void(std::size_t)> &record_outcome)
-{
-    FabricConfig fabric;
-    fabric.port = campaign.distPort;
-    fabric.host = campaign.distHost;
-    fabric.batchSize = campaign.distBatch;
-    fabric.maxInFlightPerWorker = campaign.distMaxInFlight;
-    fabric.heartbeatTimeoutMs = campaign.distHeartbeatTimeoutMs;
-    fabric.leaseTimeoutMs = campaign.distLeaseTimeoutMs;
-    fabric.netFault = campaign.distNetFault;
-    // Chaos mode needs lease revocation for liveness: a dropped Lease
-    // (or Result) frame leaves a healthy, heartbeating worker that
-    // will never serve that lease, and only the lease timeout can
-    // reclaim it. Heartbeat liveness cannot — the worker isn't dead.
-    if (fabric.netFault.any() && fabric.leaseTimeoutMs == 0)
-        fabric.leaseTimeoutMs = 5000;
-    // A loopback fleet that died for good must fail the campaign, not
-    // hang it; an external fleet is the operator's to attach whenever.
-    fabric.stallTimeoutMs = campaign.distWorkers ? 60000 : 0;
-    if (!campaign.distKeyFile.empty())
-        fabric.key = loadFabricKey(campaign.distKeyFile);
-    fabric.auditRate = campaign.distAuditRate;
-    // The audit sample must be reproducible for a given campaign but
-    // uncorrelated with every other consumer of the seed.
-    std::uint64_t audit_seed_src =
-        campaign.seed ^ 0xa5a5a5a55a5a5a5aull;
-    fabric.auditSeed = splitMix64(audit_seed_src);
-
-    CampaignSpec spec;
-    spec.configs = configs;
-    spec.campaign = campaign;
-    Coordinator coordinator(fabric, encodeCampaignSpec(spec));
-
-    if (!campaign.distPortFile.empty()) {
-        std::ofstream port_file(campaign.distPortFile,
-                                std::ios::trunc);
-        port_file << coordinator.port() << '\n';
-        if (!port_file)
-            throw ConfigError("cannot write coordinator port to '" +
-                              campaign.distPortFile + "'");
-    }
-
-    // Fork-before-threads: the coordinator is poll-based (no threads
-    // yet), so the loopback fleet forks clean. Worker 0 carries the
-    // die-mid-batch drill when armed.
-    std::vector<pid_t> fleet;
-    fleet.reserve(campaign.distWorkers);
-    for (unsigned i = 0; i < campaign.distWorkers; ++i) {
-        LoopbackWorkerOptions wopts;
-        wopts.exitAfterUnits =
-            i == 0 ? campaign.distDrillExitAfter : 0;
-        // The Byzantine drill rides on the LAST worker so it never
-        // collides with worker 0's exit drill, and an honest worker
-        // exists to audit against whenever distWorkers >= 2.
-        wopts.corruptResults = campaign.distDrillCorrupt &&
-            i + 1 == campaign.distWorkers;
-        wopts.key = fabric.key;
-        wopts.netFault = campaign.distNetFault;
-        wopts.listenerFd = coordinator.listenerFd();
-        fleet.push_back(
-            forkCampaignWorker(coordinator.port(), i, wopts));
-    }
-    const auto reap_fleet = [&fleet](bool kill_first) {
-        for (const pid_t pid : fleet) {
-            if (kill_first)
-                ::kill(pid, SIGKILL);
-            try {
-                waitChild(pid);
-            } catch (const ProcessError &) {
-                // Already reaped or never existed; nothing to do.
-            }
-        }
-        fleet.clear();
-    };
-
-    const Coordinator::RequestFn request_fn =
-        [&](std::size_t u) -> std::optional<std::vector<std::uint8_t>> {
-        if (resolve_without_running(u))
-            return std::nullopt;
-        const auto [c, t] = units[u];
-        return encodeUnitRequest(c, t);
-    };
-
-    const Coordinator::ResultFn result_fn =
-        [&](std::size_t u, const std::vector<std::uint8_t> &payload) {
-        const auto [c, t] = units[u];
-        UnitRecord record = decodeUnitRecord(payload);
-        const TestPlan &plan = plans[c].tests[t];
-        if (record.configName != configs[c].name() ||
-            record.testIndex != t || record.genSeed != plan.genSeed ||
-            record.flowSeed != plan.flowSeed) {
-            throw DistError(
-                "fabric: worker response does not match the leased "
-                "unit (test " + std::to_string(t) + " of " +
-                configs[c].name() + ")");
-        }
-        outcomes[c][t] = record.outcome;
-        record_outcome(u);
-    };
-
-    // Reassignments per unit before giving up. Generous on purpose: a
-    // reassigned unit costs one re-execution, an abandoned unit costs
-    // a campaign hole.
-    constexpr unsigned kMaxUnitLosses = 8;
-    const Coordinator::LossFn loss_fn =
-        [&](std::size_t u, unsigned losses,
-            const std::string &why) -> bool {
-        const auto [c, t] = units[u];
-        if (losses <= kMaxUnitLosses)
-            return true; // reassign; the re-execution is bit-identical
-        TestOutcome &slot = outcomes[c][t];
-        slot = TestOutcome{};
-        slot.status = TestStatus::Failed;
-        slot.ok = false;
-        slot.result.fault.note = "fabric: abandoned after " +
-            std::to_string(losses) + " worker losses (" + why + ")";
-        warn("test " + std::to_string(t) + " of " + configs[c].name() +
-             " abandoned after " + std::to_string(losses) +
-             " worker losses");
+        slot.result.fault.note = tag + crash_notes[u];
         record_outcome(u);
         return false;
     };
@@ -798,51 +743,36 @@ runUnitsDistributed(
     // Byzantine-audit hooks. The digest is payload-level and
     // timing-blind; the arbiter re-executes a unit in the coordinator
     // process from the same pre-derived plan the workers use, so its
-    // record is the ground truth any honest worker reproduces. Its
-    // watchdog is created lazily on first arbitration — after every
-    // fork above, preserving fork-before-threads.
-    std::unique_ptr<Watchdog> arbiter_watchdog;
+    // record is the ground truth any honest worker reproduces.
     Coordinator::AuditHooks hooks;
-    hooks.digest = [](std::size_t,
-                      const std::vector<std::uint8_t> &payload) {
+    hooks.digest = [](std::size_t, const Bytes &payload) {
         return unitRecordDigest(payload);
     };
-    hooks.arbiter =
-        [&](std::size_t u) -> std::vector<std::uint8_t> {
+    hooks.arbiter = [&](std::size_t u) {
         const auto [c, t] = units[u];
-        if (campaign.testTimeoutMs && !arbiter_watchdog)
-            arbiter_watchdog = std::make_unique<Watchdog>();
-        UnitRecord record;
-        record.configName = configs[c].name();
-        record.testIndex = static_cast<std::uint32_t>(t);
-        record.genSeed = plans[c].tests[t].genSeed;
-        record.flowSeed = plans[c].tests[t].flowSeed;
         // Match the worker-side runner exactly: hard-failure drills
         // are sandbox-scoped and zeroed on the fabric (see
         // dist_campaign.h).
         FlowConfig flow = plans[c].flow;
         flow.exec.dieAfterRuns = 0;
         flow.exec.leakAfterRuns = 0;
-        record.outcome = runPlannedTest(
-            configs[c], flow, plans[c].tests[t], campaign,
-            static_cast<unsigned>(t), arbiter_watchdog.get());
-        record.outcome.result.executions.clear();
-        return encodeUnitRecord(record);
+        return execute_unit(c, t, flow, lazy_watchdog());
     };
 
     try {
-        coordinator.run(units.size(), request_fn, result_fn, loss_fn,
-                        hooks);
+        coordinator->run(units.size(), request_fn, result_fn, loss_fn,
+                         hooks);
     } catch (...) {
         if (campaign.distStatsOut)
-            *campaign.distStatsOut = coordinator.stats();
-        reap_fleet(true);
+            *campaign.distStatsOut = coordinator->stats();
+        fleet->kill();
         throw;
     }
     if (campaign.distStatsOut)
-        *campaign.distStatsOut = coordinator.stats();
-    // Done has been broadcast; the fleet drains and exits on its own.
-    reap_fleet(false);
+        *campaign.distStatsOut = coordinator->stats();
+    // Done has been broadcast; the fleet drains and exits on its own,
+    // and its destructor reaps it (after the coordinator's, which
+    // closes the listener first).
 }
 
 /**
@@ -907,12 +837,12 @@ runUnits(const std::vector<TestConfig> &configs,
             campaign.journalPath, campaignIdentity(configs, campaign),
             campaign.resume);
     }
-    // Fork-before-threads: in sandboxed mode the parent spawns NO
-    // watchdog (and, below, no thread pool) — the fleet is forked
-    // from a single-threaded parent, and each worker child lazily
-    // builds its own watchdog after the fork. The parent-side reclaim
-    // for non-cooperative hangs is the sandbox's hard-deadline
-    // SIGKILL, not a thread.
+    // Fork-before-threads: out of process the parent spawns NO
+    // watchdog (and, below, no thread pool) — the fleet is forked, and
+    // a sandboxed slot respawned mid-run, from a single-threaded
+    // parent, and each worker child lazily builds its own watchdog
+    // after the fork. The parent-side reclaim for non-cooperative
+    // hangs is the sandbox's hard-deadline SIGKILL, not a thread.
     std::unique_ptr<Watchdog> watchdog;
     if (campaign.testTimeoutMs &&
         campaign.mode == ExecutionMode::InProcess)
@@ -991,12 +921,9 @@ runUnits(const std::vector<TestConfig> &configs,
         record_outcome(u);
     };
 
-    if (campaign.mode == ExecutionMode::Sandboxed) {
-        runUnitsSandboxed(configs, campaign, plans, units, outcomes,
-                          resolve_without_running, record_outcome);
-    } else if (campaign.mode == ExecutionMode::Distributed) {
-        runUnitsDistributed(configs, campaign, plans, units, outcomes,
-                            resolve_without_running, record_outcome);
+    if (campaign.mode != ExecutionMode::InProcess) {
+        runUnitsOutOfProcess(configs, campaign, plans, units, outcomes,
+                             resolve_without_running, record_outcome);
     } else {
         const unsigned workers =
             ThreadPool::resolveThreads(campaign.threads);

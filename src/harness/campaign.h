@@ -47,9 +47,11 @@ enum class ExecutionMode : std::uint8_t
      * kills the whole campaign. */
     InProcess,
 
-    /** Units run in a pool of pre-forked sandbox worker processes
-     * (src/harness/sandbox.h); `threads` sets the worker count. A
-     * worker death is contained, classified, charged, and respawned.
+    /** Units run on a local fleet of pre-forked worker processes
+     * that the fabric coordinator serves over socketpairs, one unit
+     * per lease (src/dist/fleet.h); `threads` sets the worker count
+     * and the sandbox budgets apply. A worker death is contained,
+     * classified, charged to the unit's crash budget, and respawned.
      * Summaries stay bit-identical to InProcess at any worker
      * count. */
     Sandboxed,

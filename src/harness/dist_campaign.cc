@@ -1,25 +1,14 @@
 #include "harness/dist_campaign.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <string>
 #include <utility>
-
-#include <unistd.h>
-
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
-
-#include <csignal>
 
 #include "dist/protocol.h"
 #include "dist/worker_client.h"
 #include "harness/campaign_journal.h"
 #include "harness/watchdog.h"
 #include "support/journal.h"
-#include "support/process.h"
 
 namespace mtc
 {
@@ -272,80 +261,48 @@ unitRecordDigest(const std::vector<std::uint8_t> &payload)
     }
 }
 
-pid_t
-forkCampaignWorker(std::uint16_t port, unsigned index,
-                   const LoopbackWorkerOptions &opts)
+void
+runLoopbackWorker(std::uint16_t port, unsigned index,
+                  const LoopbackWorkerOptions &opts)
 {
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        throw DistError(std::string("fabric fork failed: ") +
-                        std::strerror(errno));
-    if (pid > 0)
-        return pid;
-
-    // --- loopback worker child ---
-    if (opts.listenerFd >= 0)
-        ::close(opts.listenerFd); // see the header: inherited copies
-                                  // of the listener outlive its
-                                  // shutdown
-#ifdef __linux__
-    // Die with the parent: a SIGKILLed campaign (the ci.sh
-    // coordinator-crash smoke) must not leave orphan workers spinning
-    // in reconnect backoff.
-    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() == 1)
-        ::_exit(kWorkerExitInternal); // parent raced away already
-#endif
-    // The journal flock must die with the coordinator, not with the
-    // slowest loopback worker the PDEATHSIG reaches.
-    closeParentOnlyFds();
-    try {
-        WorkerClientConfig cfg;
-        cfg.port = port;
-        cfg.name = "loop-" + std::to_string(index);
-        cfg.heartbeatMs = 500;
-        // Short leash: after Done (or a dead coordinator) the fleet
-        // should drain in well under a second, not serve a full
-        // operator-scale backoff schedule. Under injected network
-        // faults every session is expected to die repeatedly — give
-        // the chaos drill enough consecutive failures to ride out an
-        // unlucky handshake streak.
-        cfg.maxReconnects = opts.netFault.any() ? 25 : 3;
-        cfg.backoffBaseMs = 50;
-        cfg.backoffCapMs = 400;
-        cfg.exitAfterUnits = opts.exitAfterUnits;
-        cfg.key = opts.key;
-        cfg.netFault = opts.netFault;
-        const bool corrupt = opts.corruptResults;
-        std::unique_ptr<CampaignUnitRunner> runner;
-        runWorkerClient(
-            cfg,
-            [&runner](const std::vector<std::uint8_t> &spec_bytes) {
-                runner = std::make_unique<CampaignUnitRunner>(
-                    decodeCampaignSpec(spec_bytes));
-            },
-            [&runner, corrupt](
-                std::uint64_t,
-                const std::vector<std::uint8_t> &request) {
-                std::vector<std::uint8_t> response =
-                    runner->run(request);
-                if (corrupt) {
-                    // Byzantine drill: a plausible lie. The record
-                    // still decodes and all framing checksums pass —
-                    // only a cross-worker audit can tell it from the
-                    // truth.
-                    UnitRecord rec = decodeUnitRecord(response);
-                    rec.outcome.result.uniqueSignatures += 1;
-                    rec.outcome.result.signatureSetDigest ^=
-                        0x5851f42d4c957f2dull;
-                    response = encodeUnitRecord(rec);
-                }
-                return response;
-            });
-        ::_exit(0);
-    } catch (...) {
-        ::_exit(kWorkerExitInternal);
-    }
+    WorkerClientConfig cfg;
+    cfg.port = port;
+    cfg.name = "loop-" + std::to_string(index);
+    cfg.heartbeatMs = 500;
+    // Short leash: after Done (or a dead coordinator) the fleet should
+    // drain in well under a second, not serve a full operator-scale
+    // backoff schedule. Under injected network faults every session is
+    // expected to die repeatedly — give the chaos drill enough
+    // consecutive failures to ride out an unlucky handshake streak.
+    cfg.maxReconnects = opts.netFault.any() ? 25 : 3;
+    cfg.backoffBaseMs = 50;
+    cfg.backoffCapMs = 400;
+    cfg.exitAfterUnits = opts.exitAfterUnits;
+    cfg.key = opts.key;
+    cfg.netFault = opts.netFault;
+    const bool corrupt = opts.corruptResults;
+    std::unique_ptr<CampaignUnitRunner> runner;
+    runWorkerClient(
+        cfg,
+        [&runner](const std::vector<std::uint8_t> &spec_bytes) {
+            runner = std::make_unique<CampaignUnitRunner>(
+                decodeCampaignSpec(spec_bytes));
+        },
+        [&runner, corrupt](std::uint64_t,
+                           const std::vector<std::uint8_t> &request) {
+            std::vector<std::uint8_t> response = runner->run(request);
+            if (corrupt) {
+                // Byzantine drill: a plausible lie. The record still
+                // decodes and all framing checksums pass — only a
+                // cross-worker audit can tell it from the truth.
+                UnitRecord rec = decodeUnitRecord(response);
+                rec.outcome.result.uniqueSignatures += 1;
+                rec.outcome.result.signatureSetDigest ^=
+                    0x5851f42d4c957f2dull;
+                response = encodeUnitRecord(rec);
+            }
+            return response;
+        });
 }
 
 } // namespace mtc

@@ -7,16 +7,19 @@
  * deterministic result stream — the same fields the journal identity
  * folds — so a worker on the far side of a socket re-derives exactly
  * the plans (campaign_plan.h) the coordinator holds, and a unit
- * executes identically wherever and however often it lands. Unit
- * requests and responses reuse the sandbox's shapes: a request is
+ * executes identically wherever and however often it lands. Sandboxed
+ * and distributed campaigns share the unit shapes: a request is
  * (config index, test index), a response is an encoded UnitRecord.
+ * (A sandboxed worker is forked from the coordinator and runs the
+ * parent's in-memory plans, so it never decodes a spec.)
  *
  * The hard-failure drills (dieAfterRuns, leakAfterRuns) are
  * deliberately not executed by distributed workers: they exist to
  * exercise the sandbox's crash containment, and a fabric worker that
  * died to one would re-arm it on every reassignment, poisoning every
- * worker in turn. The fabric's own death drill is
- * CampaignConfig::distDrillExitAfter.
+ * worker in turn. The spec does not carry them, and it must not
+ * change for them: trace headers embed it. The fabric's own death
+ * drill is CampaignConfig::distDrillExitAfter.
  */
 
 #ifndef MTC_HARNESS_DIST_CAMPAIGN_H
@@ -26,8 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include <sys/types.h>
 
 #include "harness/campaign.h"
 #include "harness/campaign_plan.h"
@@ -98,7 +99,7 @@ class CampaignUnitRunner
 std::uint64_t
 unitRecordDigest(const std::vector<std::uint8_t> &payload);
 
-/** Knobs for one forked loopback worker. */
+/** Knobs for one loopback worker. */
 struct LoopbackWorkerOptions
 {
     /** Die-mid-batch drill (WorkerClientConfig::exitAfterUnits). */
@@ -114,25 +115,16 @@ struct LoopbackWorkerOptions
 
     /** Seeded network faults on the worker's connection. */
     NetFaultConfig netFault;
-
-    /** The coordinator's listening descriptor, closed first thing in
-     * the child (see Coordinator::listenerFd for why an inherited
-     * copy would deadlock the shutdown); -1 if nothing to close. */
-    int listenerFd = -1;
 };
 
 /**
- * Fork a loopback fabric worker: the child connects to the local
- * coordinator on @p port, serves units until Done, and _exit()s.
- *
- * Fork-before-threads: call while the parent is single-threaded (the
- * Coordinator is poll-based precisely so this holds).
- *
- * @return the child pid (the caller reaps it). @throws DistError if
- *         the fork fails.
+ * Body of loopback worker @p index, run in a child the WorkerFleet
+ * forked (src/dist/fleet.h): connect to the local coordinator on
+ * @p port over TCP and serve units until Done. @throws DistError if
+ * the coordinator was never reachable.
  */
-pid_t forkCampaignWorker(std::uint16_t port, unsigned index,
-                         const LoopbackWorkerOptions &opts = {});
+void runLoopbackWorker(std::uint16_t port, unsigned index,
+                       const LoopbackWorkerOptions &opts);
 
 } // namespace mtc
 

@@ -142,8 +142,8 @@ struct ExecutorConfig
      * Hard-crash drill: the Nth runInto() call (1-based) raises a
      * real fatal signal (`dieSignal`, default SIGSEGV) instead of a
      * catchable exception. In-process this genuinely kills the
-     * campaign — which is the point: only the sandbox
-     * (src/harness/sandbox.h) survives it, and the drill is what
+     * campaign — which is the point: only a sandboxed worker fleet
+     * (src/dist/fleet.h) survives it, and the drill is what
      * proves that end to end. 0 (default) never fires.
      */
     std::uint64_t dieAfterRuns = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Length + FNV-1a record framing, shared by the journal and the
- * sandbox pipe IPC.
+ * Length + FNV-1a record framing, shared by the journal and every
+ * worker link.
  *
  * A frame is
  *
@@ -20,9 +20,9 @@
  * The same codec serves two transports with two failure models: an
  * append-only journal file, where a torn tail is the expected product
  * of a SIGKILL and is recovered from silently (src/support/journal.h),
- * and a parent<->worker pipe, where a torn frame means the peer died
- * mid-record and is reported as an error so the sandbox can classify
- * the loss (src/harness/sandbox.h). This layer knows nothing about
+ * and a coordinator<->worker stream, where a torn frame means the peer
+ * died mid-record and is reported as an error so the loss can be
+ * classified (src/dist/fleet.h). This layer knows nothing about
  * payload semantics; it only frames bytes.
  */
 

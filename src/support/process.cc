@@ -18,76 +18,6 @@
 namespace mtc
 {
 
-Pipe::Pipe()
-{
-    if (::pipe(fds) != 0) {
-        throw ProcessError(std::string("pipe failed: ") +
-                           std::strerror(errno));
-    }
-}
-
-Pipe::~Pipe()
-{
-    closeRead();
-    closeWrite();
-}
-
-Pipe::Pipe(Pipe &&other) noexcept
-{
-    fds[0] = other.fds[0];
-    fds[1] = other.fds[1];
-    other.fds[0] = -1;
-    other.fds[1] = -1;
-}
-
-Pipe &
-Pipe::operator=(Pipe &&other) noexcept
-{
-    if (this != &other) {
-        closeRead();
-        closeWrite();
-        fds[0] = other.fds[0];
-        fds[1] = other.fds[1];
-        other.fds[0] = -1;
-        other.fds[1] = -1;
-    }
-    return *this;
-}
-
-void
-Pipe::closeRead()
-{
-    if (fds[0] >= 0) {
-        ::close(fds[0]);
-        fds[0] = -1;
-    }
-}
-
-void
-Pipe::closeWrite()
-{
-    if (fds[1] >= 0) {
-        ::close(fds[1]);
-        fds[1] = -1;
-    }
-}
-
-int
-Pipe::releaseRead()
-{
-    const int fd = fds[0];
-    fds[0] = -1;
-    return fd;
-}
-
-int
-Pipe::releaseWrite()
-{
-    const int fd = fds[1];
-    fds[1] = -1;
-    return fd;
-}
-
 ssize_t
 readEintr(int fd, void *buf, std::size_t len)
 {
@@ -181,25 +111,6 @@ waitChild(pid_t pid)
                            std::string(std::strerror(errno)));
     }
     return classifyStatus(status);
-}
-
-bool
-tryWaitChild(pid_t pid, ChildExit &out)
-{
-    int status = 0;
-    for (;;) {
-        const pid_t got = ::waitpid(pid, &status, WNOHANG);
-        if (got == 0)
-            return false;
-        if (got > 0)
-            break;
-        if (errno == EINTR)
-            continue;
-        throw ProcessError("waitpid failed: " +
-                           std::string(std::strerror(errno)));
-    }
-    out = classifyStatus(status);
-    return true;
 }
 
 bool

@@ -1,13 +1,13 @@
 /**
  * @file
- * POSIX process plumbing for the execution sandbox.
+ * POSIX process plumbing for forked workers.
  *
- * Everything here is harness-agnostic: pipe RAII, child exit
- * classification, per-child resource budgets, and the async-signal-
- * safe crash reporter a sandbox worker installs so a real SIGSEGV
- * still produces a one-line report (signal, unit, seed) on a pipe the
- * parent can read. The pool logic that uses these lives in
- * src/harness/sandbox.h.
+ * Everything here is harness-agnostic: child exit status, per-child
+ * resource budgets, the parent-only descriptor registry, and the
+ * async-signal-safe crash reporter a sandboxed worker installs so a
+ * real SIGSEGV still produces a one-line report (signal, unit, seed)
+ * on a pipe the parent can read. The launcher that uses these lives
+ * in src/dist/fleet.h.
  */
 
 #ifndef MTC_SUPPORT_PROCESS_H
@@ -23,7 +23,7 @@
 namespace mtc
 {
 
-/** A failed process-layer syscall (fork, pipe, waitpid, setrlimit). */
+/** A failed process-layer call (waitpid, setrlimit, a full registry). */
 class ProcessError : public Error
 {
   public:
@@ -38,34 +38,6 @@ constexpr int kWorkerExitOom = 97;
 /** Worker exit sentinel: unclassified internal error (a non-OOM
  * exception escaped the worker loop, or its stream tore). */
 constexpr int kWorkerExitInternal = 98;
-
-/** RAII pipe: both ends closed on destruction unless released. */
-class Pipe
-{
-  public:
-    /** @throws ProcessError if pipe(2) fails. */
-    Pipe();
-    ~Pipe();
-
-    Pipe(const Pipe &) = delete;
-    Pipe &operator=(const Pipe &) = delete;
-    Pipe(Pipe &&other) noexcept;
-    Pipe &operator=(Pipe &&other) noexcept;
-
-    int readFd() const { return fds[0]; }
-    int writeFd() const { return fds[1]; }
-
-    void closeRead();
-    void closeWrite();
-
-    /** Detach and return an end; the caller owns the fd from then
-     * on (it will not be closed by the destructor). */
-    int releaseRead();
-    int releaseWrite();
-
-  private:
-    int fds[2];
-};
 
 /** How a reaped child terminated. */
 struct ChildExit
@@ -113,9 +85,6 @@ void closeParentOnlyFds();
 
 /** Blocking waitpid for @p pid. @throws ProcessError on failure. */
 ChildExit waitChild(pid_t pid);
-
-/** Non-blocking reap; @return false if @p pid has not exited yet. */
-bool tryWaitChild(pid_t pid, ChildExit &out);
 
 /**
  * Apply the sandbox resource budgets to the calling process (a worker

@@ -4,8 +4,8 @@
  *
  * A connected socket is just a file descriptor, so the length+FNV-1a
  * frame codec (src/support/framing.h) that already serves the journal
- * and the sandbox pipes serves the network unchanged — this layer only
- * establishes connections. Loopback-first by design: the coordinator
+ * and a sandboxed fleet's socketpairs serves the network unchanged —
+ * this layer only establishes connections. Loopback-first by design: the coordinator
  * binds 127.0.0.1 unless told otherwise; exposing a routable interface
  * is an operator decision that should come with a pre-shared fabric
  * key (src/support/transport.h grows per-frame HMAC + sequencing once

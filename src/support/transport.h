@@ -2,12 +2,13 @@
  * @file
  * Framed record transport over file descriptors.
  *
- * One codec, two wires: the sandbox's parent<->worker pipe pair and
- * the fabric's TCP socket both move length+FNV-1a framed byte vectors
- * (src/support/framing.h). A Transport owns the descriptor(s) and
- * exposes exactly the send/receive/half-close surface both need, so
- * the pipe and network paths cannot drift apart — a framing fix or a
- * hardening rule (max frame size) lands in both at once.
+ * One codec, every wire: the fabric's TCP sockets and a sandboxed
+ * fleet's socketpairs (src/dist/fleet.h) move length+FNV-1a framed
+ * byte vectors (src/support/framing.h), as does a pipe pair. A
+ * Transport owns the descriptor(s) and exposes exactly the
+ * send/receive/half-close surface they need, so the local and network
+ * paths cannot drift apart — a framing fix or a hardening rule (max
+ * frame size) lands in all of them at once.
  *
  * The surface is virtual so decorators can interpose: FaultyTransport
  * (src/support/fault_transport.h) injects seeded network faults for

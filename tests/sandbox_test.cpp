@@ -1,8 +1,9 @@
 /**
  * @file
  * Execution-sandbox tests: the shared frame codec, the async-signal-
- * safe emergency log sink, the process plumbing, the pre-forked worker
- * pool, and the sandboxed campaign mode.
+ * safe emergency log sink, the process plumbing, the sandboxed worker
+ * fleet served through the fabric coordinator, and the sandboxed
+ * campaign mode.
  *
  * The contracts under test are sharp: a sandboxed campaign summary
  * must be bit-identical to the in-process summary at any worker count
@@ -22,17 +23,22 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <new>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
+#include "dist/coordinator.h"
+#include "dist/fleet.h"
 #include "harness/campaign.h"
 #include "harness/campaign_journal.h"
-#include "harness/sandbox.h"
 #include "support/framing.h"
 #include "support/log.h"
 #include "support/process.h"
@@ -274,12 +280,12 @@ TEST(ProcessPlumbing, CrashReporterWritesOneLineAndReRaises)
 }
 
 // ---------------------------------------------------------------------
-// Worker pool: containment, classification, respawn, hard kill.
+// Sandboxed fleet: containment, classification, respawn, hard kill.
 // ---------------------------------------------------------------------
 
 using Bytes = std::vector<std::uint8_t>;
 
-SandboxPool::RequestFn
+Coordinator::RequestFn
 oneBytePerUnit()
 {
     return [](std::size_t u) -> std::optional<Bytes> {
@@ -287,44 +293,117 @@ oneBytePerUnit()
     };
 }
 
-TEST(SandboxPoolUnit, DispatchesUnitsAcrossWorkersAndEchoes)
+/** Serve units 0..@p units-1 to @p fleet through a Coordinator, as a
+ * sandboxed campaign does; @p hard_deadline_ms is the lease timeout. */
+void
+serveFleet(WorkerFleet &fleet, std::size_t units,
+           const Coordinator::ResultFn &result,
+           const std::function<bool(std::size_t, const WorkerLoss &)> &loss,
+           std::uint64_t hard_deadline_ms = 0)
 {
-    SandboxConfig cfg;
+    FabricConfig fabric;
+    fabric.leaseTimeoutMs = hard_deadline_ms;
+    Coordinator coordinator(fabric, {}, fleet);
+    coordinator.run(
+        units, oneBytePerUnit(), result,
+        [&](std::size_t u, unsigned, const WorkerLoss &lost) {
+            return loss(u, lost);
+        });
+}
+
+/** Inodes of the TCP sockets in LISTEN state, from @p table
+ * (/proc/self/net/tcp or tcp6). */
+std::set<std::string>
+listeningInodes(const char *table)
+{
+    std::set<std::string> inodes;
+    std::ifstream in(table);
+    std::string line;
+    std::getline(in, line); // header
+    while (std::getline(in, line)) {
+        std::istringstream row(line);
+        std::string field[10];
+        for (std::string &f : field)
+            row >> f;
+        if (field[3] == "0A") // TCP_LISTEN
+            inodes.insert(field[9]);
+    }
+    return inodes;
+}
+
+/** The parent a respawn forked from is still single-threaded and
+ * holds no listening socket: fork-before-threads held across mid-run
+ * respawns, and a sandboxed fleet binds no port. */
+void
+expectForkSafeParent()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    bool seen = false;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0) {
+            EXPECT_EQ(line, "Threads:\t1");
+            seen = true;
+        }
+    }
+    EXPECT_TRUE(seen);
+
+    std::set<std::string> listening = listeningInodes("/proc/self/net/tcp");
+    const std::set<std::string> v6 = listeningInodes("/proc/self/net/tcp6");
+    listening.insert(v6.begin(), v6.end());
+    for (const auto &entry : fs::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        const std::string target = fs::read_symlink(entry.path(), ec);
+        if (ec || target.rfind("socket:[", 0) != 0)
+            continue;
+        const std::string inode = target.substr(8, target.size() - 9);
+        EXPECT_EQ(listening.count(inode), 0u)
+            << entry.path() << " is a listening socket";
+    }
+}
+
+TEST(SandboxFleetUnit, DispatchesUnitsAcrossWorkersAndEchoes)
+{
+    FleetConfig cfg;
     cfg.workers = 2;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &) {
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &) {
         Bytes resp = req;
         for (auto &byte : resp)
             byte = static_cast<std::uint8_t>(byte + 1);
         return resp;
     });
     std::vector<Bytes> got(8);
-    pool.run(
-        got.size(), oneBytePerUnit(),
+    serveFleet(
+        fleet, got.size(),
         [&](std::size_t u, const Bytes &p) { got[u] = p; },
         [](std::size_t, const WorkerLoss &) { return false; });
     for (std::size_t u = 0; u < got.size(); ++u) {
         ASSERT_EQ(got[u].size(), 1u) << "unit " << u;
         EXPECT_EQ(got[u][0], u + 1);
     }
-    EXPECT_EQ(pool.respawns(), 0u);
+    EXPECT_EQ(fleet.respawns(), 0u);
 }
 
-TEST(SandboxPoolUnit, RealSigsegvIsContainedClassifiedAndRetried)
+TEST(SandboxFleetUnit, RealSigsegvIsContainedClassifiedAndRetried)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &env) {
-        if (req[0] == 1 && env.generation == 0)
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &slot) {
+        if (req[0] == 1 && slot.generation == 0)
             ::raise(SIGSEGV); // a REAL fatal signal, not a throw
-        return Bytes{static_cast<std::uint8_t>(env.generation)};
+        return Bytes{static_cast<std::uint8_t>(slot.generation)};
     });
 
     std::vector<Bytes> got(3);
     std::vector<unsigned> deaths(3, 0);
     WorkerLoss seen;
-    pool.run(
-        got.size(), oneBytePerUnit(),
-        [&](std::size_t u, const Bytes &p) { got[u] = p; },
+    serveFleet(
+        fleet, got.size(),
+        [&](std::size_t u, const Bytes &p) {
+            got[u] = p;
+            if (deaths[1])
+                expectForkSafeParent();
+        },
         [&](std::size_t u, const WorkerLoss &loss) {
             ++deaths[u];
             seen = loss;
@@ -344,25 +423,25 @@ TEST(SandboxPoolUnit, RealSigsegvIsContainedClassifiedAndRetried)
     EXPECT_EQ(got[1][0], 1u); // generation 1 completed it
     EXPECT_EQ(got[0][0], 0u); // ran before the crash
     EXPECT_EQ(got[2][0], 1u); // single slot: also on the respawn
-    EXPECT_EQ(pool.respawns(), 1u);
+    EXPECT_EQ(fleet.respawns(), 1u);
 }
 
-TEST(SandboxPoolUnit, AbortAndNonzeroExitClassifyDistinctly)
+TEST(SandboxFleetUnit, AbortAndNonzeroExitClassifyDistinctly)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &env) {
-        if (env.generation == 0 && req[0] == 0)
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &slot) {
+        if (slot.generation == 0 && req[0] == 0)
             ::abort();
-        if (env.generation <= 1 && req[0] == 1)
+        if (slot.generation <= 1 && req[0] == 1)
             ::_exit(23);
         return Bytes{0xAA};
     });
 
     std::vector<WorkerLoss> losses;
     std::vector<Bytes> got(2);
-    pool.run(
-        got.size(), oneBytePerUnit(),
+    serveFleet(
+        fleet, got.size(),
         [&](std::size_t u, const Bytes &p) { got[u] = p; },
         [&](std::size_t, const WorkerLoss &loss) {
             losses.push_back(loss);
@@ -378,22 +457,21 @@ TEST(SandboxPoolUnit, AbortAndNonzeroExitClassifyDistinctly)
     EXPECT_EQ(got[1][0], 0xAA);
 }
 
-TEST(SandboxPoolUnit, BadAllocClassifiesAsOomBudget)
+TEST(SandboxFleetUnit, BadAllocClassifiesAsOomBudget)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
-    SandboxPool pool(cfg, [](const Bytes &, const WorkerEnv &env)
-                         -> Bytes {
-        if (env.generation == 0)
+    WorkerFleet fleet(cfg, [](const Bytes &, const WorkerSlot &slot)
+                          -> Bytes {
+        if (slot.generation == 0)
             throw std::bad_alloc();
         return Bytes{1};
     });
 
     WorkerLoss seen;
     Bytes got;
-    pool.run(
-        1, oneBytePerUnit(),
-        [&](std::size_t, const Bytes &p) { got = p; },
+    serveFleet(
+        fleet, 1, [&](std::size_t, const Bytes &p) { got = p; },
         [&](std::size_t, const WorkerLoss &loss) {
             seen = loss;
             return true;
@@ -402,19 +480,19 @@ TEST(SandboxPoolUnit, BadAllocClassifiesAsOomBudget)
     ASSERT_EQ(got.size(), 1u);
 }
 
-TEST(SandboxPoolUnit, GiveUpAbandonsOnlyTheLostUnit)
+TEST(SandboxFleetUnit, GiveUpAbandonsOnlyTheLostUnit)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 2;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &) {
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &) {
         if (req[0] == 2)
             ::raise(SIGSEGV); // every attempt dies
         return req;
     });
     std::vector<bool> completed(5, false);
     unsigned deaths = 0;
-    pool.run(
-        completed.size(), oneBytePerUnit(),
+    serveFleet(
+        fleet, completed.size(),
         [&](std::size_t u, const Bytes &) { completed[u] = true; },
         [&](std::size_t u, const WorkerLoss &) {
             EXPECT_EQ(u, 2u);
@@ -426,14 +504,14 @@ TEST(SandboxPoolUnit, GiveUpAbandonsOnlyTheLostUnit)
     EXPECT_EQ(deaths, 1u);
 }
 
-TEST(SandboxPoolUnit, WedgedWorkerIsHardKilledWithinBound)
+TEST(SandboxFleetUnit, WedgedWorkerIsHardKilledWithinBound)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
-    cfg.hardDeadlineMs = 300;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &env)
-                         -> Bytes {
-        if (req[0] == 0 && env.generation == 0) {
+    const std::uint64_t hard_deadline_ms = 300;
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &slot)
+                          -> Bytes {
+        if (req[0] == 0 && slot.generation == 0) {
             // Non-cooperative wedge: ignores everything but SIGKILL.
             for (;;)
                 std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -444,13 +522,17 @@ TEST(SandboxPoolUnit, WedgedWorkerIsHardKilledWithinBound)
     WorkerLoss seen;
     std::vector<bool> completed(2, false);
     const auto start = std::chrono::steady_clock::now();
-    pool.run(
-        completed.size(), oneBytePerUnit(),
-        [&](std::size_t u, const Bytes &) { completed[u] = true; },
+    serveFleet(
+        fleet, completed.size(),
+        [&](std::size_t u, const Bytes &) {
+            completed[u] = true;
+            expectForkSafeParent();
+        },
         [&](std::size_t, const WorkerLoss &loss) {
             seen = loss;
             return false;
-        });
+        },
+        hard_deadline_ms);
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
@@ -460,17 +542,17 @@ TEST(SandboxPoolUnit, WedgedWorkerIsHardKilledWithinBound)
     EXPECT_TRUE(completed[1]); // the respawn ran the rest
     // Reclaim bound: well within 2x the hard deadline plus slack for
     // the respawn itself.
-    EXPECT_LT(elapsed.count(), 10 * cfg.hardDeadlineMs);
+    EXPECT_LT(elapsed.count(), 10 * hard_deadline_ms);
 }
 
-TEST(SandboxPoolUnit, CpuBudgetBreachClassifiesAsCpuBudget)
+TEST(SandboxFleetUnit, CpuBudgetBreachClassifiesAsCpuBudget)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
     cfg.cpuLimitS = 1;
-    SandboxPool pool(cfg, [](const Bytes &req, const WorkerEnv &env)
-                         -> Bytes {
-        if (req[0] == 0 && env.generation == 0) {
+    WorkerFleet fleet(cfg, [](const Bytes &req, const WorkerSlot &slot)
+                          -> Bytes {
+        if (req[0] == 0 && slot.generation == 0) {
             volatile std::uint64_t sink = 0;
             for (;;)
                 sink = sink + 1; // burn CPU until SIGXCPU
@@ -479,9 +561,12 @@ TEST(SandboxPoolUnit, CpuBudgetBreachClassifiesAsCpuBudget)
     });
     WorkerLoss seen;
     bool completed = false;
-    pool.run(
-        1, oneBytePerUnit(),
-        [&](std::size_t, const Bytes &) { completed = true; },
+    serveFleet(
+        fleet, 1,
+        [&](std::size_t, const Bytes &) {
+            completed = true;
+            expectForkSafeParent();
+        },
         [&](std::size_t, const WorkerLoss &loss) {
             seen = loss;
             return true;
@@ -490,20 +575,19 @@ TEST(SandboxPoolUnit, CpuBudgetBreachClassifiesAsCpuBudget)
     EXPECT_TRUE(completed);
 }
 
-TEST(SandboxPoolUnit, FleetDeathChurnTripsTheBackstop)
+TEST(SandboxFleetUnit, FleetDeathChurnTripsTheBackstop)
 {
-    SandboxConfig cfg;
+    FleetConfig cfg;
     cfg.workers = 1;
-    SandboxPool pool(cfg, [](const Bytes &, const WorkerEnv &) -> Bytes {
+    WorkerFleet fleet(cfg, [](const Bytes &, const WorkerSlot &) -> Bytes {
         ::raise(SIGSEGV); // every attempt, every generation
         return {};
     });
     EXPECT_THROW(
-        pool.run(
-            2, oneBytePerUnit(),
-            [](std::size_t, const Bytes &) {},
+        serveFleet(
+            fleet, 2, [](std::size_t, const Bytes &) {},
             [](std::size_t, const WorkerLoss &) { return true; }),
-        SandboxError);
+        DistError);
 }
 
 // ---------------------------------------------------------------------
@@ -735,6 +819,32 @@ TEST(SandboxCampaign, DieDrillIsContainedAndChargedToCrashBudget)
     EXPECT_EQ(summary.failedTests, 0u);
     EXPECT_GE(summary.crashRetries, 1u);
     EXPECT_GE(summary.violations, 1u); // platform crash flags the test
+}
+
+TEST(SandboxCampaign, DieDrillJournalsTheClassifiedCrashNote)
+{
+    const TestConfig cfg = parseConfigName("x86-2-50-32");
+    CampaignConfig campaign = smallCampaign();
+    campaign.mode = ExecutionMode::Sandboxed;
+    campaign.threads = 1;
+    campaign.dieAfterRuns = 3; // third run of the first unit SIGSEGVs
+    campaign.recovery.crashRetries = 1;
+    TempFile journal("die_note");
+    campaign.journalPath = journal.path();
+    runConfig(cfg, campaign);
+
+    // The journaled record carries what the waitpid classification
+    // and the child's crash-report pipe saw, not just the counts.
+    const CampaignJournal replay(journal.path(),
+                                 campaignIdentity({cfg}, campaign), true);
+    const UnitRecord *died = replay.find(cfg.name(), 0);
+    ASSERT_NE(died, nullptr);
+    EXPECT_EQ(died->outcome.result.platformCrashes, 1u);
+    EXPECT_NE(died->outcome.result.fault.note.find(
+                  "sandbox: worker killed by signal 11 (SIGSEGV); "
+                  "report: crash signal=11 (SIGSEGV) unit=x86-2-50-32#0"),
+              std::string::npos)
+        << died->outcome.result.fault.note;
 }
 
 TEST(SandboxCampaign, DieDrillHonorsAlternateSignal)

@@ -184,8 +184,9 @@ resume_smoke ./build-asan/tools/mtc_validate dist_asan 4 --distributed 2
 # Containment smoke: a --die-after drill raises a REAL SIGSEGV in a
 # worker mid-campaign. The campaign must survive it, complete every
 # test (the respawned worker retries the killed unit, so 6 of 6 tests
-# with failed=0), report the lost worker, and exit with the documented
-# platform-crash code 4.
+# with failed=0), report the lost worker with its waitpid
+# classification and the child's crash report, and exit with the
+# documented platform-crash code 4.
 containment_smoke() {
     local bin="$1" tag="$2"
     local out="build/ci_contain_${tag}.txt"
@@ -197,6 +198,7 @@ containment_smoke() {
     grep -Eq "^campaign summary: x86-2-50-32 tests=6 .* failed=0 " \
         "${out}"
     grep -q "lost its worker" "${out}"
+    grep -qF "lost its worker (death 1): worker killed by signal 11 (SIGSEGV); report: crash signal=11 (SIGSEGV) unit=x86-2-50-32#0" "${out}"
     grep -q "^platform crashes: 1$" "${out}"
     rm -f "${out}"
 }
